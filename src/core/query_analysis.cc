@@ -33,41 +33,39 @@ QueryAnalysis AnalyzeQuery(const sparql::Query& q,
 
   if (a.ops.IsCqF() && q.pattern != nullptr &&
       a.triples <= options.max_triples_for_htw) {
+    // One canonical hypergraph: a CQ has no filters, so its triple
+    // hypergraph is this one and the cq_* verdicts copy the cqf_* ones.
+    std::vector<SymbolId> vertex_vars;
+    const hypergraph::Hypergraph h = hypergraph::BuildCanonicalHypergraph(
+        q, /*include_filters=*/true, &vertex_vars);
     // Free variables: the projected ones (all for SELECT *).
-    auto analyze_hg = [&](bool include_filters, bool* fca, bool* h1,
-                          bool* h2, bool* h3) {
-      std::vector<SymbolId> vertex_vars;
-      hypergraph::Hypergraph h = hypergraph::BuildCanonicalHypergraph(
-          q, include_filters, &vertex_vars);
-      std::vector<uint32_t> free_vertices;
-      if (q.select_star) {
-        for (uint32_t v = 0; v < vertex_vars.size(); ++v) {
-          free_vertices.push_back(v);
-        }
-      } else {
-        std::set<SymbolId> projected;
-        for (const auto& item : q.projection) {
-          if (item.var.ActsAsVar()) projected.insert(item.var.id);
-        }
-        for (uint32_t v = 0; v < vertex_vars.size(); ++v) {
-          if (projected.count(vertex_vars[v]) > 0) {
-            free_vertices.push_back(v);
-          }
-        }
+    std::vector<uint32_t> free_vertices;
+    if (q.select_star) {
+      for (uint32_t v = 0; v < vertex_vars.size(); ++v) {
+        free_vertices.push_back(v);
       }
-      const bool acyclic = hypergraph::IsAcyclic(h);
-      *fca = acyclic &&
-             hypergraph::IsFreeConnexAcyclic(h, free_vertices);
-      *h1 = acyclic;
-      *h2 = acyclic ||
-            hypergraph::HypertreeWidthAtMost(h, 2).value_or(false);
-      *h3 = *h2 ||
-            hypergraph::HypertreeWidthAtMost(h, 3).value_or(false);
-    };
-    if (a.ops.IsCq()) {
-      analyze_hg(false, &a.cq_fca, &a.cq_htw1, &a.cq_htw2, &a.cq_htw3);
+    } else {
+      std::set<SymbolId> projected;
+      for (const auto& item : q.projection) {
+        if (item.var.ActsAsVar()) projected.insert(item.var.id);
+      }
+      for (uint32_t v = 0; v < vertex_vars.size(); ++v) {
+        if (projected.count(vertex_vars[v]) > 0) free_vertices.push_back(v);
+      }
     }
-    analyze_hg(true, &a.cqf_fca, &a.cqf_htw1, &a.cqf_htw2, &a.cqf_htw3);
+    a.cqf_htw1 = hypergraph::IsAcyclic(h);
+    a.cqf_fca =
+        hypergraph::IsFreeConnexAcyclic(h, free_vertices, a.cqf_htw1);
+    a.cqf_htw2 =
+        a.cqf_htw1 || hypergraph::HypertreeWidthAtMost(h, 2).value_or(false);
+    a.cqf_htw3 =
+        a.cqf_htw2 || hypergraph::HypertreeWidthAtMost(h, 3).value_or(false);
+    if (a.ops.IsCq()) {
+      a.cq_fca = a.cqf_fca;
+      a.cq_htw1 = a.cqf_htw1;
+      a.cq_htw2 = a.cqf_htw2;
+      a.cq_htw3 = a.cqf_htw3;
+    }
 
     a.graph_cqf = sparql::IsGraphCqF(q);
     if (a.graph_cqf) {

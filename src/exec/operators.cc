@@ -534,47 +534,6 @@ void MinusOp::Explain(JsonWriter* w) const {
 
 // --- YannakakisOp ----------------------------------------------------
 
-JoinForest BuildJoinForest(const std::vector<std::set<SymbolId>>& varsets) {
-  const size_t n = varsets.size();
-  JoinForest forest;
-  forest.parent.assign(n, -1);
-  if (n <= 1) {
-    forest.ok = true;
-    return forest;
-  }
-  std::vector<bool> removed(n, false);
-  for (size_t round = 0; round + 1 < n; ++round) {
-    bool found = false;
-    for (size_t i = 0; i < n && !found; ++i) {
-      if (removed[i]) continue;
-      // Boundary: variables of i shared with any other live relation.
-      std::set<SymbolId> boundary;
-      for (size_t k = 0; k < n; ++k) {
-        if (k == i || removed[k]) continue;
-        for (SymbolId v : varsets[i]) {
-          if (varsets[k].count(v) > 0) boundary.insert(v);
-        }
-      }
-      for (size_t j = 0; j < n; ++j) {
-        if (j == i || removed[j]) continue;
-        const bool covers = std::includes(
-            varsets[j].begin(), varsets[j].end(), boundary.begin(),
-            boundary.end());
-        if (covers) {
-          forest.parent[i] = static_cast<int>(j);
-          forest.order.push_back(i);
-          removed[i] = true;
-          found = true;
-          break;
-        }
-      }
-    }
-    if (!found) return forest;  // cyclic: no ear
-  }
-  forest.ok = true;
-  return forest;
-}
-
 namespace {
 
 std::vector<SymbolId> SharedVars(const std::set<SymbolId>& a,
@@ -633,8 +592,12 @@ std::vector<Binding> HashJoinVec(const std::vector<Binding>& probe,
 
 YannakakisOp::YannakakisOp(const graph::TripleStore& store,
                            const Interner& dict,
-                           std::vector<sparql::TriplePattern> triples)
-    : store_(store), dict_(dict), triples_(std::move(triples)) {}
+                           std::vector<sparql::TriplePattern> triples,
+                           hypergraph::JoinForest forest)
+    : store_(store),
+      dict_(dict),
+      triples_(std::move(triples)),
+      forest_(std::move(forest)) {}
 
 Status YannakakisOp::Open() {
   rows_.clear();
@@ -643,6 +606,9 @@ Status YannakakisOp::Open() {
   if (n == 0) {
     rows_ = {Binding{}};
     return Status::Ok();
+  }
+  if (!forest_.ok || forest_.parent.size() != n) {
+    return Status::Internal("yannakakis planned without a join forest");
   }
 
   // Materialize the relations and their variable sets.
@@ -659,21 +625,16 @@ Status YannakakisOp::Open() {
     }
   }
 
-  const JoinForest forest = BuildJoinForest(varsets);
-  if (!forest.ok) {
-    return Status::Internal("yannakakis planned for a cyclic join");
-  }
-
   // Semijoin reduction: leaves to root, then root to leaves. Removal
   // order guarantees every child of i has already reduced rel[i] when i
   // reduces its own parent.
-  for (size_t i : forest.order) {
-    const size_t j = static_cast<size_t>(forest.parent[i]);
+  for (size_t i : forest_.order) {
+    const size_t j = static_cast<size_t>(forest_.parent[i]);
     Semijoin(&rel[j], rel[i], SharedVars(varsets[i], varsets[j]));
   }
-  for (auto it = forest.order.rbegin(); it != forest.order.rend(); ++it) {
+  for (auto it = forest_.order.rbegin(); it != forest_.order.rend(); ++it) {
     const size_t i = *it;
-    const size_t j = static_cast<size_t>(forest.parent[i]);
+    const size_t j = static_cast<size_t>(forest_.parent[i]);
     Semijoin(&rel[i], rel[j], SharedVars(varsets[i], varsets[j]));
   }
 
@@ -682,11 +643,11 @@ Status YannakakisOp::Open() {
   // variables, so every join here is a definite-key hash join.
   size_t root = n;
   for (size_t i = 0; i < n; ++i) {
-    if (forest.parent[i] == -1) root = i;
+    if (forest_.parent[i] == -1) root = i;
   }
   std::vector<Binding> acc = std::move(rel[root]);
   std::set<SymbolId> acc_vars = varsets[root];
-  for (auto it = forest.order.rbegin(); it != forest.order.rend(); ++it) {
+  for (auto it = forest_.order.rbegin(); it != forest_.order.rend(); ++it) {
     const size_t i = *it;
     acc = HashJoinVec(acc, rel[i], SharedVars(varsets[i], acc_vars));
     acc_vars.insert(varsets[i].begin(), varsets[i].end());

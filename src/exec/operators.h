@@ -13,6 +13,7 @@
 #include "common/status.h"
 #include "exec/path_automaton.h"
 #include "graph/rdf.h"
+#include "hypergraph/hypergraph.h"
 #include "sparql/algebra.h"
 #include "sparql/eval.h"
 
@@ -255,16 +256,18 @@ class MinusOp : public Operator {
 };
 
 /// The Yannakakis semijoin program for an acyclic conjunction of triple
-/// scans: Open materializes each relation, builds a GYO join forest over
-/// the variable sets, runs the two semijoin reduction passes (leaf-to-
-/// root, then root-to-leaf), and joins along the forest in removal
-/// order. Intermediate results never exceed the final output size times
-/// the largest relation — the classic acyclic-CQ guarantee. Produces the
-/// same bag as the evaluator's left-fold of nested-loop joins.
+/// scans, given the GYO join forest of their variable sets (edge i of the
+/// forest is triple i): Open materializes each relation, runs the two
+/// semijoin reduction passes (leaf-to-root, then root-to-leaf), and joins
+/// along the forest in removal order. Intermediate results never exceed
+/// the final output size times the largest relation — the classic
+/// acyclic-CQ guarantee. Produces the same bag as the evaluator's
+/// left-fold of nested-loop joins.
 class YannakakisOp : public Operator {
  public:
   YannakakisOp(const graph::TripleStore& store, const Interner& dict,
-               std::vector<sparql::TriplePattern> triples);
+               std::vector<sparql::TriplePattern> triples,
+               hypergraph::JoinForest forest);
 
   Status Open() override;
   Result<bool> Next(Binding* row) override;
@@ -276,21 +279,10 @@ class YannakakisOp : public Operator {
   const graph::TripleStore& store_;
   const Interner& dict_;
   std::vector<sparql::TriplePattern> triples_;
+  hypergraph::JoinForest forest_;
   std::vector<Binding> rows_;
   size_t pos_ = 0;
 };
-
-/// GYO ear removal over relation variable sets. `parent[i]` is the
-/// forest parent of relation i (or -1 for the root); `order` lists
-/// relations in removal order (leaves first, root excluded). `ok` is
-/// false when no ear exists — the hypergraph is cyclic.
-struct JoinForest {
-  std::vector<int> parent;
-  std::vector<size_t> order;
-  bool ok = false;
-};
-
-JoinForest BuildJoinForest(const std::vector<std::set<SymbolId>>& varsets);
 
 }  // namespace rwdt::exec
 

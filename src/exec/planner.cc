@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <map>
 #include <utility>
 
 #include "common/json.h"
@@ -161,7 +162,8 @@ Result<Executor::Built> Executor::BuildAnd(const sparql::Pattern& p) const {
     // Empty AND: the evaluator's join identity, one empty binding.
     return MakeLeaf(std::make_unique<YannakakisOp>(
                         store_, *dict_,
-                        std::vector<sparql::TriplePattern>{}),
+                        std::vector<sparql::TriplePattern>{},
+                        hypergraph::BuildJoinForest({})),
                     {}, 1);
   }
 
@@ -173,28 +175,33 @@ Result<Executor::Built> Executor::BuildAnd(const sparql::Pattern& p) const {
       });
   if (all_triples) {
     std::vector<sparql::TriplePattern> triples;
-    std::vector<std::set<SymbolId>> varsets;
+    hypergraph::Hypergraph h;  // edge i: the variables of triple i
+    std::map<SymbolId, uint32_t> vertex_of;
     std::set<SymbolId> vars;
     uint64_t estimate = kUnknownEstimate;
     for (const sparql::Pattern* c : conjuncts) {
-      triples.push_back(c->triple);
-      std::set<SymbolId> vs;
-      TermVars(c->triple.s, &vs);
-      TermVars(c->triple.p, &vs);
-      TermVars(c->triple.o, &vs);
-      vars.insert(vs.begin(), vs.end());
-      varsets.push_back(std::move(vs));
       const auto& t = c->triple;
+      triples.push_back(t);
+      std::vector<uint32_t> edge;
+      for (const sparql::Term* term : {&t.s, &t.p, &t.o}) {
+        if (!term->ActsAsVar()) continue;
+        vars.insert(term->id);
+        const uint32_t next = static_cast<uint32_t>(vertex_of.size());
+        edge.push_back(vertex_of.emplace(term->id, next).first->second);
+      }
+      h.AddEdge(std::move(edge));
       estimate = std::min<uint64_t>(
           estimate,
           store_.CountMatch(t.s.ActsAsVar() ? kInvalidSymbol : t.s.id,
                             t.p.ActsAsVar() ? kInvalidSymbol : t.p.id,
                             t.o.ActsAsVar() ? kInvalidSymbol : t.o.id));
     }
-    if (BuildJoinForest(varsets).ok) {
-      return MakeLeaf(std::make_unique<YannakakisOp>(store_, *dict_,
-                                                     std::move(triples)),
-                      std::move(vars), estimate);
+    hypergraph::JoinForest forest = hypergraph::BuildJoinForest(h);
+    if (forest.ok) {
+      return MakeLeaf(
+          std::make_unique<YannakakisOp>(store_, *dict_, std::move(triples),
+                                         std::move(forest)),
+          std::move(vars), estimate);
     }
     // Cyclic: fall through to the greedy join order below.
   }

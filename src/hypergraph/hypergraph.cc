@@ -65,68 +65,58 @@ Hypergraph BuildCanonicalHypergraph(const sparql::Query& query,
   return h;
 }
 
-bool IsAcyclic(const Hypergraph& h) {
-  // GYO reduction: repeatedly remove vertices occurring in exactly one
-  // edge and edges contained in other edges.
-  std::vector<std::vector<uint32_t>> edges;
+JoinForest BuildJoinForest(const Hypergraph& h) {
+  const size_t n = h.edges.size();
+  JoinForest forest;
+  forest.parent.assign(n, -1);
+  // live[v]: live edges containing v. A vertex of edge i is shared with
+  // another live edge iff live[v] > 1.
+  std::vector<uint32_t> live(h.num_vertices, 0);
   for (const auto& e : h.edges) {
-    if (!e.empty()) edges.push_back(e);
+    for (uint32_t v : e) live[v]++;
   }
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    // Vertex occurrence counts.
-    std::map<uint32_t, int> count;
-    for (const auto& e : edges) {
-      for (uint32_t v : e) count[v]++;
-    }
-    for (auto& e : edges) {
-      const size_t before = e.size();
-      e.erase(std::remove_if(e.begin(), e.end(),
-                             [&](uint32_t v) { return count[v] == 1; }),
-              e.end());
-      if (e.size() != before) changed = true;
-    }
-    // Remove empty edges and edges contained in another edge.
-    std::vector<std::vector<uint32_t>> kept;
-    for (size_t i = 0; i < edges.size(); ++i) {
-      if (edges[i].empty()) {
-        changed = true;
-        continue;
+  std::vector<bool> removed(n, false);
+  std::vector<uint32_t> shared;
+  for (size_t round = 0; round + 1 < n; ++round) {
+    bool found = false;
+    for (size_t i = 0; i < n && !found; ++i) {
+      if (removed[i]) continue;
+      shared.clear();
+      for (uint32_t v : h.edges[i]) {
+        if (live[v] > 1) shared.push_back(v);
       }
-      bool contained = false;
-      for (size_t j = 0; j < edges.size() && !contained; ++j) {
-        if (i == j) continue;
-        if (edges[i].size() > edges[j].size()) continue;
-        if (edges[i] == edges[j] && i > j) {
-          contained = true;  // drop duplicate, keep the first
-          break;
-        }
-        if (edges[i] != edges[j] &&
-            std::includes(edges[j].begin(), edges[j].end(),
-                          edges[i].begin(), edges[i].end())) {
-          contained = true;
+      for (size_t j = 0; j < n && !found; ++j) {
+        if (j == i || removed[j]) continue;
+        if (std::includes(h.edges[j].begin(), h.edges[j].end(),
+                          shared.begin(), shared.end())) {
+          forest.parent[i] = static_cast<int>(j);
+          forest.order.push_back(i);
+          removed[i] = true;
+          for (uint32_t v : h.edges[i]) live[v]--;
+          found = true;
         }
       }
-      if (contained) {
-        changed = true;
-      } else {
-        kept.push_back(edges[i]);
-      }
     }
-    edges = std::move(kept);
+    if (!found) return forest;  // cyclic: no ear
   }
-  return edges.size() <= 1;
+  forest.ok = true;
+  return forest;
+}
+
+bool IsAcyclic(const Hypergraph& h) { return BuildJoinForest(h).ok; }
+
+bool IsFreeConnexAcyclic(const Hypergraph& h,
+                         const std::vector<uint32_t>& free_vertices,
+                         bool acyclic) {
+  if (!acyclic || free_vertices.empty()) return acyclic;
+  Hypergraph extended = h;
+  extended.AddEdge(free_vertices);
+  return IsAcyclic(extended);
 }
 
 bool IsFreeConnexAcyclic(const Hypergraph& h,
                          const std::vector<uint32_t>& free_vertices) {
-  if (!IsAcyclic(h)) return false;
-  Hypergraph extended = h;
-  if (!free_vertices.empty()) {
-    extended.AddEdge(free_vertices);
-  }
-  return IsAcyclic(extended);
+  return IsFreeConnexAcyclic(h, free_vertices, IsAcyclic(h));
 }
 
 namespace {

@@ -30,12 +30,36 @@ Hypergraph BuildCanonicalHypergraph(const sparql::Query& query,
                                     std::vector<SymbolId>* var_of_vertex
                                     = nullptr);
 
-/// GYO reduction: true iff the hypergraph is alpha-acyclic.
+/// A GYO join forest over the edges of a hypergraph. `parent[i]` is the
+/// edge that covered edge i when i was removed as an ear (or -1 for the
+/// root); `order` lists edges in removal order (leaves first, root
+/// excluded). `ok` is false when some round finds no ear — the
+/// hypergraph is cyclic.
+struct JoinForest {
+  std::vector<int> parent;
+  std::vector<size_t> order;
+  bool ok = false;
+};
+
+/// GYO ear removal, the library's one alpha-acyclicity decision. Each
+/// round removes the first live edge, in edge order, whose vertices
+/// shared with other live edges all lie in one other live edge; its
+/// parent is the first such edge. Empty and duplicate edges stay edges
+/// (an empty edge is an ear under any partner, a duplicate under its
+/// twin), so edge i can stand for relation i of a join.
+JoinForest BuildJoinForest(const Hypergraph& h);
+
+/// True iff the hypergraph is alpha-acyclic (GYO reduction succeeds).
 bool IsAcyclic(const Hypergraph& h);
 
 /// Free-connex acyclicity (Bagan-Durand-Grandjean): the query is acyclic
 /// AND the hypergraph extended with a hyperedge over the free (projected)
 /// variables is acyclic. For SELECT * queries all variables are free.
+/// `acyclic` must be IsAcyclic(h): callers that have decided it pass it
+/// in, so GYO runs only on the extended hypergraph.
+bool IsFreeConnexAcyclic(const Hypergraph& h,
+                         const std::vector<uint32_t>& free_vertices,
+                         bool acyclic);
 bool IsFreeConnexAcyclic(const Hypergraph& h,
                          const std::vector<uint32_t>& free_vertices);
 

@@ -9,8 +9,9 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string_view>
 #include <utility>
 
@@ -107,6 +108,21 @@ std::string_view Trim(std::string_view s) {
     s.remove_suffix(1);
   }
   return s;
+}
+
+/// Parses a Content-Length value, which must be 1*DIGIT. Values beyond
+/// size_t saturate; they exceed any body cap either way.
+bool ParseContentLength(std::string_view value, size_t* out) {
+  if (value.empty()) return false;
+  constexpr size_t kMax = std::numeric_limits<size_t>::max();
+  size_t n = 0;
+  for (char c : value) {
+    if (c < '0' || c > '9') return false;
+    const size_t digit = static_cast<size_t>(c - '0');
+    n = n > (kMax - digit) / 10 ? kMax : n * 10 + digit;
+  }
+  *out = n;
+  return true;
 }
 
 /// Parses the request head in `head` (request line + header lines, no
@@ -446,17 +462,20 @@ bool HttpServer::ServeOneRequest(int fd, std::string* buf, size_t head_end,
     return SendErrorAndClose(fd, 501, "chunked bodies not supported\n");
   }
 
-  size_t content_length = 0;
-  const std::string_view length_header = request.Header("content-length");
-  if (!length_header.empty()) {
-    char* end = nullptr;
-    const std::string value(length_header);
-    const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0') {
+  // Content-Length is 1*DIGIT, and duplicates must agree (RFC 9112
+  // 6.3): a sign, or two conflicting lengths, would let this server and a
+  // proxy in front of it frame the body differently.
+  std::optional<size_t> declared_length;
+  for (const auto& [name, value] : request.headers) {
+    if (name != "content-length") continue;
+    size_t parsed = 0;
+    if (!ParseContentLength(value, &parsed) ||
+        (declared_length.has_value() && *declared_length != parsed)) {
       return SendErrorAndClose(fd, 400, "bad Content-Length\n");
     }
-    content_length = static_cast<size_t>(parsed);
+    declared_length = parsed;
   }
+  const size_t content_length = declared_length.value_or(0);
   if (content_length > options_.max_body_bytes) {
     // The body is not read — framing after an unread body is void, so
     // the connection must close.

@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
+#include "common/interner.h"
 #include "common/rng.h"
 #include "core/log_study.h"
+#include "core/query_analysis.h"
 #include "core/studies.h"
 #include "graph/generators.h"
+#include "hypergraph/hypergraph.h"
+#include "sparql/parser.h"
 
 namespace rwdt::core {
 namespace {
@@ -103,6 +111,76 @@ TEST(LogStudyTest, MergeAddsUp) {
   EXPECT_EQ(merged.valid_agg.queries,
             a.valid_agg.queries + b.valid_agg.queries);
   EXPECT_EQ(merged.valid_agg.cq_f, a.valid_agg.cq_f + b.valid_agg.cq_f);
+}
+
+// The classifier's acyclicity and free-connex verdicts against the
+// independent width search (ghw <= 1 iff acyclic), over a generated log.
+TEST(QueryAnalysisTest, VerdictsMatchWidthSearchOracle) {
+  std::vector<std::string> corpus;
+  for (const auto& entry :
+       loggen::GenerateLog(loggen::ExampleProfile(3000), /*seed=*/23)) {
+    corpus.push_back(entry.text);
+  }
+  // The generator projects prefixes of its chains and stars, which stay
+  // free-connex; these acyclic queries drop an inner variable and do not.
+  corpus.push_back("SELECT ?x ?z WHERE { ?x p ?y . ?y q ?z }");
+  corpus.push_back(
+      "SELECT ?a ?c WHERE { ?a p ?b . ?b q ?c . FILTER(?b != c0) }");
+
+  const LogStudyOptions options;
+  Interner dict;
+  size_t checked = 0, cq = 0, acyclic = 0, fca = 0;
+  for (const std::string& text : corpus) {
+    auto parsed = sparql::ParseSparql(text, &dict);
+    if (!parsed.ok()) continue;
+    const sparql::Query& q = parsed.value();
+    const QueryAnalysis a = AnalyzeQuery(q, options);
+    if (!a.ops.IsCqF() || q.pattern == nullptr ||
+        a.triples > options.max_triples_for_htw) {
+      continue;
+    }
+    std::vector<SymbolId> var_of_vertex;
+    const hypergraph::Hypergraph h = hypergraph::BuildCanonicalHypergraph(
+        q, /*include_filters=*/true, &var_of_vertex);
+    std::set<SymbolId> projected;
+    for (const auto& item : q.projection) {
+      if (item.var.ActsAsVar()) projected.insert(item.var.id);
+    }
+    std::vector<uint32_t> free;
+    for (uint32_t v = 0; v < var_of_vertex.size(); ++v) {
+      if (q.select_star || projected.count(var_of_vertex[v]) > 0) {
+        free.push_back(v);
+      }
+    }
+    hypergraph::Hypergraph extended = h;
+    extended.AddEdge(free);
+    const auto htw1 = hypergraph::HypertreeWidthAtMost(h, 1);
+    const auto extended_htw1 = hypergraph::HypertreeWidthAtMost(extended, 1);
+    ASSERT_TRUE(htw1.has_value() && extended_htw1.has_value()) << text;
+    EXPECT_EQ(a.cqf_htw1, *htw1) << text;
+    EXPECT_EQ(a.cqf_fca, *htw1 && *extended_htw1) << text;
+    if (a.ops.IsCq()) {
+      const auto triple_htw1 = hypergraph::HypertreeWidthAtMost(
+          hypergraph::BuildCanonicalHypergraph(q, /*include_filters=*/false),
+          1);
+      ASSERT_TRUE(triple_htw1.has_value()) << text;
+      EXPECT_EQ(a.cq_htw1, *triple_htw1) << text;
+      EXPECT_EQ(a.cq_fca, a.cqf_fca) << text;
+      EXPECT_EQ(a.cq_htw1, a.cqf_htw1) << text;
+      EXPECT_EQ(a.cq_htw2, a.cqf_htw2) << text;
+      EXPECT_EQ(a.cq_htw3, a.cqf_htw3) << text;
+      cq++;
+    }
+    checked++;
+    acyclic += a.cqf_htw1;
+    fca += a.cqf_fca;
+  }
+  // The corpus must exercise every branch of the oracle.
+  EXPECT_GT(cq, 0u);
+  EXPECT_GT(checked, cq);
+  EXPECT_GT(acyclic, fca);
+  EXPECT_GT(fca, 0u);
+  EXPECT_GT(checked, acyclic);
 }
 
 TEST(DtdStudyTest, MatchesGeneratorKnobs) {

@@ -1,8 +1,8 @@
 // Unit tests for rwdt::exec: per-operator semantics against the
 // reference evaluator, the NFA-product path evaluator against
-// EvalPathPairs across path shapes and binding shapes, GYO join-forest
-// construction, and the planner's verdict dispatch (each certified
-// fragment picks its strategy, everything else falls back).
+// EvalPathPairs across path shapes and binding shapes, and the planner's
+// verdict dispatch (each certified fragment picks its strategy,
+// everything else falls back).
 
 #include <gtest/gtest.h>
 
@@ -96,6 +96,19 @@ TEST_F(ExecTest, AcyclicCqRunsYannakakis) {
                              Strategy::kYannakakis);
   ExpectStrategyAndAgreement(
       "SELECT * WHERE { ?x p0 ?a . ?x p1 ?b . ?x p2 ?c }",
+      Strategy::kYannakakis);
+  // A triple without variables is an empty edge of the join forest: an
+  // ear under any partner, joined as a filter on the rest.
+  const graph::Triple& t = store_.triples().front();
+  const std::string present = "SELECT * WHERE { ?x p0 ?y . " +
+                              dict_.Name(t.s) + " " + dict_.Name(t.p) +
+                              " " + dict_.Name(t.o) + " . ?y p1 ?z }";
+  ExpectStrategyAndAgreement(present, Strategy::kYannakakis);
+  auto rows = Executor(store_, &dict_).Run(Parse(present));
+  ASSERT_TRUE(rows.ok());
+  EXPECT_FALSE(rows.value().empty()) << present;
+  ExpectStrategyAndAgreement(
+      "SELECT * WHERE { ?x p0 ?y . ent:0 no_such_predicate ent:1 }",
       Strategy::kYannakakis);
 }
 
@@ -216,24 +229,6 @@ TEST_F(ExecTest, ResourceLimitsSurfaceAsErrors) {
   ASSERT_TRUE(
       exec.Run(Parse("SELECT * WHERE { { ?x p0 ?y } UNION { ?x p1 ?y } }"))
           .ok());
-}
-
-// --- Join forest -----------------------------------------------------
-
-TEST_F(ExecTest, JoinForestAcceptsAcyclicShapes) {
-  const SymbolId a = 1, b = 2, c = 3, d = 4;
-  EXPECT_TRUE(BuildJoinForest({}).ok);
-  EXPECT_TRUE(BuildJoinForest({{a, b}}).ok);
-  EXPECT_TRUE(BuildJoinForest({{a, b}, {b, c}, {c, d}}).ok);  // chain
-  EXPECT_TRUE(BuildJoinForest({{a, b}, {a, c}, {a, d}}).ok);  // star
-  EXPECT_TRUE(BuildJoinForest({{a, b}, {c, d}}).ok);  // disjoint
-}
-
-TEST_F(ExecTest, JoinForestRejectsCycles) {
-  const SymbolId a = 1, b = 2, c = 3, d = 4;
-  EXPECT_FALSE(BuildJoinForest({{a, b}, {b, c}, {c, a}}).ok);  // triangle
-  EXPECT_FALSE(
-      BuildJoinForest({{a, b}, {b, c}, {c, d}, {d, a}}).ok);  // square
 }
 
 // --- NFA-product path evaluation ------------------------------------

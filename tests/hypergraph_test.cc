@@ -28,6 +28,30 @@ TEST(GyoTest, CyclicCases) {
   EXPECT_FALSE(IsAcyclic(H({{0, 1}, {1, 2}, {2, 3}, {3, 0}})));  // square
 }
 
+TEST(JoinForestTest, AcceptsAcyclicShapes) {
+  EXPECT_TRUE(BuildJoinForest(H({})).ok);
+  EXPECT_TRUE(BuildJoinForest(H({{0, 1}})).ok);
+  EXPECT_TRUE(BuildJoinForest(H({{0, 1}, {1, 2}, {2, 3}})).ok);  // chain
+  EXPECT_TRUE(BuildJoinForest(H({{0, 1}, {0, 2}, {0, 3}})).ok);  // star
+  EXPECT_TRUE(BuildJoinForest(H({{0, 1}, {2, 3}})).ok);  // disjoint
+}
+
+TEST(JoinForestTest, RejectsCycles) {
+  EXPECT_FALSE(BuildJoinForest(H({{0, 1}, {1, 2}, {2, 0}})).ok);  // triangle
+  EXPECT_FALSE(
+      BuildJoinForest(H({{0, 1}, {1, 2}, {2, 3}, {3, 0}})).ok);  // square
+}
+
+TEST(JoinForestTest, KeepsEmptyAndDuplicateEdges) {
+  // Edge i stays relation i. The duplicate pair and the empty edge (a
+  // constant-only triple) are ears; each round removes the first ear in
+  // edge order, under its first covering partner.
+  const JoinForest f = BuildJoinForest(H({{0, 1}, {}, {0, 1}, {1, 2}}));
+  ASSERT_TRUE(f.ok);
+  EXPECT_EQ(f.order, (std::vector<size_t>{0, 1, 2}));
+  EXPECT_EQ(f.parent, (std::vector<int>{2, 2, 3, -1}));
+}
+
 TEST(FreeConnexTest, ProjectionMatters) {
   // Path x-y-z: acyclic. Free vars {x, z} (endpoints) break free-connex
   // acyclicity; free vars {x, y} keep it.

@@ -250,6 +250,36 @@ TEST(HttpServerTest, MalformedContentLengthGets400) {
   server.Stop();
 }
 
+TEST(HttpServerTest, SignedContentLengthGets400) {
+  HttpServer server(BaseOptions());
+  ASSERT_TRUE(server.Start().ok());
+
+  // Content-Length is 1*DIGIT: "-5" must not wrap to a huge length (a
+  // 413) and "+5" must not be read as 5.
+  for (const char* length : {"-5", "+5"}) {
+    TestClient client(server.port());
+    ASSERT_TRUE(client.SendRaw(std::string("POST /x HTTP/1.1\r\nHost: t\r\n"
+                                           "Content-Length: ") +
+                               length + "\r\n\r\nhello"));
+    EXPECT_EQ(client.ReadResponse().status, 400) << length;
+  }
+  server.Stop();
+}
+
+TEST(HttpServerTest, ConflictingContentLengthsGet400) {
+  HttpServer server(BaseOptions());
+  ASSERT_TRUE(server.Start().ok());
+
+  // Two lengths that disagree make the framing ambiguous (RFC 9112
+  // 6.3); the server must not pick one.
+  TestClient client(server.port());
+  ASSERT_TRUE(client.SendRaw(
+      "POST /x HTTP/1.1\r\nHost: t\r\nContent-Length: 3\r\n"
+      "Content-Length: 400\r\n\r\nabc"));
+  EXPECT_EQ(client.ReadResponse().status, 400);
+  server.Stop();
+}
+
 TEST(HttpServerTest, ChunkedTransferEncodingGets501) {
   HttpServer server(BaseOptions());
   ASSERT_TRUE(server.Start().ok());

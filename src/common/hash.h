@@ -32,7 +32,7 @@ inline uint64_t Load64(const char* p) {
 }  // namespace hash_internal
 
 /// 64-bit string hash, computed once per query text and threaded through
-/// shard routing, per-shard dedup, and the query cache (hash-once
+/// shard routing and the shard memo's dedup lookup (hash-once
 /// pipeline). Word-at-a-time wyhash-style multiply-mix: ~8 bytes per
 /// cycle on the texts the paper's logs contain (tens to hundreds of
 /// bytes), an order of magnitude faster than byte-at-a-time FNV.

@@ -1,9 +1,7 @@
 #include "engine/engine.h"
 
-#include <algorithm>
 #include <array>
 #include <chrono>
-#include <cstdlib>
 #include <functional>
 #include <thread>
 #include <utility>
@@ -12,7 +10,7 @@
 #include "common/flat_interner.h"
 #include "common/hash.h"
 #include "common/json.h"
-#include "core/verdict.h"
+#include "core/query_analysis.h"
 #include "obs/engine_bridge.h"
 #include "obs/log.h"
 #include "obs/trace.h"
@@ -50,13 +48,6 @@ Status EngineOptions::Validate() const {
   if (num_shards > kMaxShards) {
     return Status::InvalidArgument("num_shards must be <= 2^20");
   }
-  if (cache_shards > kMaxShards) {
-    return Status::InvalidArgument("cache_shards must be <= 2^20");
-  }
-  if (cache_capacity > 0 && cache_shards > cache_capacity) {
-    return Status::InvalidArgument(
-        "cache_shards exceeds cache_capacity (shards would be empty)");
-  }
   if (admin_port > kAdminPortAuto) {
     return Status::InvalidArgument(
         "admin_port must be 0 (off), a TCP port, or kAdminPortAuto");
@@ -77,7 +68,6 @@ std::string EngineOptions::ToJson() const {
   out += "\"threads\":" + std::to_string(threads);
   out += ",\"num_shards\":" + std::to_string(num_shards);
   out += ",\"cache_capacity\":" + std::to_string(cache_capacity);
-  out += ",\"cache_shards\":" + std::to_string(cache_shards);
   out += ",\"collect_stage_timings\":";
   out += collect_stage_timings ? "true" : "false";
   out += ",\"admin_port\":" + std::to_string(admin_port);
@@ -91,41 +81,54 @@ std::string EngineOptions::ToJson() const {
   return out;
 }
 
-/// Per-shard accumulator and dedup state. Shards never share mutable
-/// state, so workers run lock-free except for cache-shard mutexes. The
-/// state persists across EngineStream::Feed calls: the interner assigns
-/// dense ids to query texts in stream order and `verdict[id]` remembers
-/// the outcome (0 = valid, else 1 + ErrorClass), so chunk boundaries are
-/// invisible to dedup and to error attribution.
+/// One work shard's memo: every distinct text the shard has seen, with
+/// its verdict and analysis. Kept across streams, so a text is parsed
+/// and analyzed at most once per engine while it stays here; a stream's
+/// own counts live in its ShardTally. Only the worker running the
+/// shard's task touches it, so no lock guards it.
 ///
-/// Layout constraint: alignas(64) — shard states live contiguously in
-/// the `shards` vector and are mutated concurrently by different
-/// workers, so a state must never straddle a cache line shared with its
-/// neighbor (false sharing on `valid`/`unique` would serialize the
-/// whole sweep).
-struct alignas(64) Engine::ShardState {
-  /// Dedup dictionary: text -> dense first-seen id, looked up with the
-  /// hash precomputed during routing.
+/// Layout constraint: alignas(64) — memos live contiguously in
+/// `memos_` and are mutated concurrently by different workers, so a
+/// memo must never straddle a cache line shared with its neighbor.
+struct alignas(64) Engine::ShardMemo {
+  /// Text -> dense first-seen id, looked up with the hash precomputed
+  /// during routing.
   FlatInterner seen;
   /// Per-parse symbol dictionary, Clear()ed before every parse so the
   /// analysis stays a pure function of the query text while the arena
   /// and slot table are reused allocation-free across queries.
   FlatInterner dict;
-  std::vector<uint8_t> verdict;
-  /// Analysis of each distinct text, parallel to `verdict` (null for
-  /// invalid texts), pinned for the stream's lifetime. Duplicates
-  /// aggregate from here instead of re-consulting the bounded LRU cache,
-  /// so a log with more distinct queries than the cache holds never
-  /// re-parses on eviction: each distinct text is computed exactly once
-  /// per stream. Memory is O(distinct texts) — the same class as the
-  /// `seen` interner, which already pins every distinct text itself.
-  std::vector<std::shared_ptr<const CachedQuery>> by_id;
-  /// Deferred duplicate weight, parallel to `by_id`: valid duplicates
-  /// only bump this counter on the hot path; Finish() folds each
-  /// distinct analysis into valid_agg once with its total multiplicity.
-  /// AddToAggregates is weight-linear in every field (unsigned sums), so
-  /// one weighted call is bit-identical to per-occurrence calls.
-  std::vector<uint64_t> dup_extra;
+  struct Entry {
+    /// Where this id sits in the open stream's `touched` list. Stale
+    /// slots from earlier (finished or dropped) streams are harmless:
+    /// the id counts as touched only if `touched[slot].id` names it
+    /// back, so a new stream needs no reset pass.
+    uint32_t slot = 0;
+    uint8_t verdict = 0;  // 0 = valid, else 1 + ErrorClass
+  };
+  std::vector<Entry> entries;  // by id
+  /// Analysis of each distinct text, by id (default for invalid texts).
+  std::vector<core::QueryAnalysis> analysis;
+};
+
+/// One work shard's counts for the open stream. Shards never share
+/// mutable state, so workers run lock-free.
+///
+/// Layout constraint: alignas(64), as for ShardMemo (false sharing on
+/// `valid`/`unique` would serialize the whole sweep).
+struct alignas(64) Engine::ShardTally {
+  struct Touched {
+    SymbolId id;
+    /// Valid occurrences after the first. Duplicates only bump this on
+    /// the hot path; Finish() folds each distinct analysis into
+    /// valid_agg once with this weight. AddToAggregates is
+    /// weight-linear in every field (unsigned sums), so one weighted
+    /// call is bit-identical to per-occurrence calls.
+    uint64_t dup_extra;
+  };
+  /// Memo ids this stream has seen, in first-sight order. Finish walks
+  /// this, not the memo, so it costs O(distinct texts in the stream).
+  std::vector<Touched> touched;
   uint64_t valid = 0;
   uint64_t unique = 0;
   std::array<uint64_t, kNumErrorClasses> errors{};
@@ -133,12 +136,12 @@ struct alignas(64) Engine::ShardState {
   core::LogAggregates unique_agg;
 };
 
-/// Stream state: the per-shard states plus the study skeleton that
+/// Stream state: the per-shard tallies plus the study skeleton that
 /// accumulates totals and ingest-level rejects.
 struct EngineStream::Impl {
   Engine* engine = nullptr;
   core::SourceStudy study;
-  std::vector<Engine::ShardState> shards;
+  std::vector<Engine::ShardTally> tallies;
   /// Shard routing buffers, cleared and refilled per Feed call instead
   /// of reallocated per chunk (steady-state feeds allocate nothing).
   std::vector<std::vector<RoutedEntry>> parts;
@@ -150,9 +153,7 @@ Engine::Engine(const EngineOptions& options)
     : options_(options),
       threads_(ResolveThreads(options.threads)),
       num_shards_(options.num_shards > 0 ? options.num_shards : threads_),
-      cache_(options.cache_capacity,
-             options.cache_shards > 0 ? options.cache_shards
-                                      : std::max<size_t>(threads_, 8)) {
+      memos_(num_shards_) {
   if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(threads_);
   start_ns_ = NowNs();
   ready_ = std::make_shared<std::atomic<bool>>(false);
@@ -242,30 +243,7 @@ void Engine::StartAdminServer() {
                  "drains the active TraceCollector as Chrome trace JSON; "
                  "?limit=N caps rendered events (default 5000, 0 = all)",
                  [](const obs::HttpRequest& request) {
-                   obs::HttpResponse resp;
-                   // Default cap keeps a scrape of a large multi-thread
-                   // ring from rendering multi-MB; limit=0 disables it.
-                   size_t limit = 5000;
-                   const std::string param =
-                       serve::QueryParam(request.query, "limit");
-                   if (!param.empty()) {
-                     limit = std::strtoull(param.c_str(), nullptr, 10);
-                   }
-                   std::string json;
-                   // A trace drain is a point-in-time snapshot; caching
-                   // one would hide every later scrape.
-                   resp.extra_headers.push_back(
-                       {"Cache-Control", "no-store"});
-                   if (obs::DrainActiveTraceJson(&json, limit)) {
-                     resp.content_type = "application/json; charset=utf-8";
-                     resp.body = std::move(json);
-                   } else {
-                     resp.status = 503;
-                     resp.body =
-                         "no active trace collector (set RWDT_TRACE or "
-                         "install one)\n";
-                   }
-                   return resp;
+                   return obs::HandleTracez(request);
                  });
   server->Handle("/profilez",
                  "timed sampling CPU profile; ?seconds=N&hz=F"
@@ -313,7 +291,7 @@ EngineStream Engine::OpenStream(std::string name, bool wikidata_like) {
   impl->engine = this;
   impl->study.name = std::move(name);
   impl->study.wikidata_like = wikidata_like;
-  impl->shards = std::vector<ShardState>(num_shards_);
+  impl->tallies = std::vector<ShardTally>(num_shards_);
   impl->parts.resize(num_shards_);
   if (options_.progress.enabled()) {
     obs::ProgressOptions popts = options_.progress;
@@ -350,8 +328,8 @@ void EngineStream::FeedImpl(size_t count, ForEachText&& for_each_text) {
   const uint64_t t_start = NowNs();
 
   // Hash-once routing: each entry's text is hashed exactly once, here,
-  // and the hash travels with the entry through shard routing, per-shard
-  // dedup, and the query cache. Every duplicate of a query lands in the
+  // and the hash travels with the entry through shard routing and the
+  // shard memo's lookup. Every duplicate of a query lands in the
   // same shard, making per-shard dedup globally exact. The partition
   // buffers live in Impl and are recycled across Feed calls.
   const size_t num_shards = eng.num_shards_;
@@ -371,7 +349,7 @@ void EngineStream::FeedImpl(size_t count, ForEachText&& for_each_text) {
 
   if (eng.pool_ == nullptr) {
     for (size_t s = 0; s < num_shards; ++s) {
-      eng.ProcessShard(parts[s], &im.shards[s]);
+      eng.ProcessShard(parts[s], &eng.memos_[s], &im.tallies[s]);
     }
   } else {
     // Propagate the feeding thread's trace context (captured after
@@ -382,7 +360,7 @@ void EngineStream::FeedImpl(size_t count, ForEachText&& for_each_text) {
     for (size_t s = 0; s < num_shards; ++s) {
       eng.pool_->Submit([&eng, &im, ctx, s] {
         obs::ScopedTraceContext scoped(ctx);
-        eng.ProcessShard(im.parts[s], &im.shards[s]);
+        eng.ProcessShard(im.parts[s], &eng.memos_[s], &im.tallies[s]);
       });
     }
     eng.pool_->Wait();
@@ -391,17 +369,7 @@ void EngineStream::FeedImpl(size_t count, ForEachText&& for_each_text) {
   im.study.total += count;
   eng.metrics_.AddEntries(count);
   eng.metrics_.AddWallNs(NowNs() - t_start);
-
-  // Occupancy telemetry at chunk granularity: one pass over the shard
-  // states after the workers quiesced, never on the per-query path.
-  uint64_t interner_bytes = 0;
-  uint64_t dedup_entries = 0;
-  for (const Engine::ShardState& s : im.shards) {
-    interner_bytes += s.seen.bytes_reserved() + s.dict.bytes_reserved();
-    dedup_entries += s.seen.size();
-  }
-  eng.interner_bytes_.store(interner_bytes, std::memory_order_relaxed);
-  eng.dedup_entries_.store(dedup_entries, std::memory_order_relaxed);
+  eng.PublishOccupancy();
 }
 
 void EngineStream::Reject(ErrorClass c, uint64_t n) {
@@ -414,6 +382,7 @@ void EngineStream::Reject(ErrorClass c, uint64_t n) {
 
 core::SourceStudy EngineStream::Finish() {
   Impl& im = *impl_;
+  Engine& eng = *im.engine;
 
   // Reduce in shard order. All aggregate fields are unsigned sums, so
   // the result is independent of the shard partition itself.
@@ -421,27 +390,27 @@ core::SourceStudy EngineStream::Finish() {
   {
     obs::Span finish_span("finish");
     study = std::move(im.study);
-    for (const Engine::ShardState& s : im.shards) {
-      study.valid += s.valid;
-      study.unique += s.unique;
+    for (size_t s = 0; s < im.tallies.size(); ++s) {
+      const Engine::ShardTally& t = im.tallies[s];
+      study.valid += t.valid;
+      study.unique += t.unique;
       for (size_t c = 0; c < kNumErrorClasses; ++c) {
-        study.errors[c] += s.errors[c];
+        study.errors[c] += t.errors[c];
       }
-      core::Merge(s.valid_agg, &study.valid_agg);
-      core::Merge(s.unique_agg, &study.unique_agg);
+      core::Merge(t.valid_agg, &study.valid_agg);
+      core::Merge(t.unique_agg, &study.unique_agg);
       // Fold the deferred duplicate weight: one weighted AddToAggregates
       // per distinct text that recurred, replacing what used to be one
       // call per occurrence on the hot path. Unsigned sums, so folding
-      // into the merged study instead of s.valid_agg changes nothing.
-      for (size_t id = 0; id < s.dup_extra.size(); ++id) {
-        if (s.dup_extra[id] == 0) continue;
-        core::AddToAggregates(s.by_id[id]->verdict.analysis,
-                              s.dup_extra[id], &study.valid_agg);
+      // into the merged study instead of t.valid_agg changes nothing.
+      for (const Engine::ShardTally::Touched& touched : t.touched) {
+        if (touched.dup_extra == 0) continue;
+        core::AddToAggregates(eng.memos_[s].analysis[touched.id],
+                              touched.dup_extra, &study.valid_agg);
       }
     }
-    im.shards.clear();
-    im.engine->interner_bytes_.store(0, std::memory_order_relaxed);
-    im.engine->dedup_entries_.store(0, std::memory_order_relaxed);
+    im.tallies.clear();
+    eng.TrimMemos();
   }
   // Stop after the reduce so the final report's counters are the run's
   // complete totals.
@@ -453,7 +422,7 @@ core::SourceStudy EngineStream::Finish() {
 }
 
 void Engine::ProcessShard(const std::vector<RoutedEntry>& entries,
-                          ShardState* state) {
+                          ShardMemo* memo, ShardTally* tally) {
   const bool timed = options_.collect_stage_timings;
   obs::Span shard_span("shard");
   // Worker-private metric slab (stack-resident, cache-hot): the per-query
@@ -462,18 +431,18 @@ void Engine::ProcessShard(const std::vector<RoutedEntry>& entries,
   // enclosing Feed returns.
   LocalMetrics local;
 
-  auto compute = [&](std::string_view text, uint64_t hash)
-      -> std::shared_ptr<const CachedQuery> {
-    auto fresh = std::make_shared<CachedQuery>();
+  // Parses and analyzes a text the memo has never held, appending its
+  // verdict and analysis under the next id.
+  auto compute = [&](std::string_view text) {
+    ShardMemo::Entry entry;
+    core::QueryAnalysis analysis;
     // Clear()ing the reusable per-shard dictionary restarts ids at 0, so
-    // each parse is still a pure function of the text — cache entries
-    // stay shareable across shards, threads, and logs — but the arena
+    // each parse is still a pure function of the text, but the arena
     // and slot table are recycled instead of rebuilding an
     // unordered_map (and its per-node allocations) for every parse.
-    state->dict.Clear();
+    memo->dict.Clear();
     const uint64_t t0 = timed ? NowNs() : 0;
-    auto parsed =
-        sparql::ParseSparql(text, &state->dict, options_.parse_limits);
+    auto parsed = sparql::ParseSparql(text, &memo->dict, options_.parse_limits);
     const uint64_t t1 = timed ? NowNs() : 0;
     if (timed) {
       local.Record(Stage::kParse, t1 - t0);
@@ -481,9 +450,8 @@ void Engine::ProcessShard(const std::vector<RoutedEntry>& entries,
     }
     if (parsed.ok()) {
       core::StageTimings st;
-      fresh->parse_ok = true;
-      fresh->verdict = core::Classify(parsed.value(), options_.study,
-                                      timed ? &st : nullptr);
+      analysis = core::AnalyzeQuery(parsed.value(), options_.study,
+                                    timed ? &st : nullptr);
       if (timed) {
         local.Record(Stage::kFeatures, st.feature_ns);
         local.Record(Stage::kHypergraph, st.hypergraph_ns);
@@ -498,13 +466,13 @@ void Engine::ProcessShard(const std::vector<RoutedEntry>& entries,
       }
       local.analyzed++;
     } else {
-      fresh->error = ClassifyStatus(parsed.status());
+      entry.verdict = static_cast<uint8_t>(
+          1 + static_cast<size_t>(ClassifyStatus(parsed.status())));
       local.parse_failures++;
     }
-    // The routing hash doubles as the cache key hash, so the miss path
-    // costs zero extra hash computations (Get and Put share it).
-    cache_.PutWithHash(hash, text, fresh);
-    return fresh;
+    local.misses++;
+    memo->entries.push_back(entry);
+    memo->analysis.push_back(std::move(analysis));
   };
 
   auto aggregate = [&](const core::QueryAnalysis& a, core::LogAggregates* agg) {
@@ -520,68 +488,88 @@ void Engine::ProcessShard(const std::vector<RoutedEntry>& entries,
   // Every rejected entry is attributed to exactly one taxonomy class,
   // duplicates included, so total == valid + sum(errors) holds per shard.
   auto reject = [&](ErrorClass c) {
-    state->errors[static_cast<size_t>(c)]++;
+    tally->errors[static_cast<size_t>(c)]++;
     local.AddError(c);
   };
 
-  // Exact first-occurrence tracking: `verdict[id]` remembers the outcome
-  // of each distinct text and `by_id[id]` pins its analysis, so repeated
-  // entries never hit the parser, the cache mutexes, or — when the log
-  // holds more distinct texts than the cache does — the eviction
-  // recompute path. The bounded LRU cache serves cross-log warm starts;
-  // within one stream, each distinct text is computed exactly once.
+  // Exact first-occurrence tracking: the memo remembers each distinct
+  // text's verdict and analysis, and `touched` records which of them
+  // this stream has already counted. Repeated entries never reach the
+  // parser; a text first seen by an earlier stream is a memo hit.
   for (const RoutedEntry& routed : entries) {
     const std::string_view text = routed.text;
-    const SymbolId prior = static_cast<SymbolId>(state->seen.size());
-    const SymbolId id = state->seen.InternWithHash(routed.hash, text);
-    const bool first_occurrence = id == prior;
-
-    if (!first_occurrence) {
-      const uint8_t v = state->verdict[id];
-      if (v != 0) {  // known-invalid duplicate
-        reject(static_cast<ErrorClass>(v - 1));
+    const SymbolId known = static_cast<SymbolId>(memo->seen.size());
+    const SymbolId id = memo->seen.InternWithHash(routed.hash, text);
+    if (id == known) {
+      compute(text);
+    } else {
+      const uint32_t slot = memo->entries[id].slot;
+      if (slot < tally->touched.size() && tally->touched[slot].id == id) {
+        // Seen earlier in this stream.
+        const uint8_t v = memo->entries[id].verdict;
+        if (v != 0) {  // known-invalid duplicate
+          reject(static_cast<ErrorClass>(v - 1));
+          continue;
+        }
+        // Valid duplicate: two counter bumps and done. The aggregate
+        // fold happens once per distinct text at Finish, weighted by
+        // this count.
+        tally->valid++;
+        tally->touched[slot].dup_extra++;
         continue;
       }
-      // Valid duplicate: two counter bumps and done. The aggregate fold
-      // happens once per distinct text at Finish, weighted by this count.
-      state->valid++;
-      state->dup_extra[id]++;
-      continue;
+      local.hits++;
     }
 
-    // First sight in this log; the shared cache may still be warm from
-    // an earlier log analyzed by this engine.
-    auto cached = cache_.GetWithHash(routed.hash, text);
-    if (cached == nullptr) cached = compute(text, routed.hash);
-    if (!cached->parse_ok) {
-      state->verdict.push_back(
-          static_cast<uint8_t>(1 + static_cast<size_t>(cached->error)));
-      state->by_id.push_back(nullptr);
-      state->dup_extra.push_back(0);
-      reject(cached->error);
+    // First sight in this stream.
+    ShardMemo::Entry& entry = memo->entries[id];
+    entry.slot = static_cast<uint32_t>(tally->touched.size());
+    tally->touched.push_back({id, 0});
+    if (entry.verdict != 0) {
+      reject(static_cast<ErrorClass>(entry.verdict - 1));
       continue;
     }
-    state->verdict.push_back(0);
-    state->valid++;
-    state->unique++;
-    aggregate(cached->verdict.analysis, &state->valid_agg);
-    aggregate(cached->verdict.analysis, &state->unique_agg);
-    state->by_id.push_back(std::move(cached));
-    state->dup_extra.push_back(0);
+    tally->valid++;
+    tally->unique++;
+    aggregate(memo->analysis[id], &tally->valid_agg);
+    aggregate(memo->analysis[id], &tally->unique_agg);
   }
 
   metrics_.Merge(local);
 }
 
+void Engine::TrimMemos() {
+  const size_t share =
+      (options_.cache_capacity + num_shards_ - 1) / num_shards_;
+  uint64_t evicted = 0;
+  for (ShardMemo& memo : memos_) {
+    if (memo.seen.size() <= share) continue;
+    evicted += memo.seen.size();
+    memo = ShardMemo();
+  }
+  metrics_.AddEvictions(evicted);
+  PublishOccupancy();
+}
+
+void Engine::PublishOccupancy() {
+  // One pass over the memos after the workers quiesced, never on the
+  // per-query path.
+  uint64_t interner_bytes = 0;
+  uint64_t dedup_entries = 0;
+  for (const ShardMemo& memo : memos_) {
+    interner_bytes += memo.seen.bytes_reserved() + memo.dict.bytes_reserved();
+    dedup_entries += memo.seen.size();
+  }
+  interner_bytes_.store(interner_bytes, std::memory_order_relaxed);
+  dedup_entries_.store(dedup_entries, std::memory_order_relaxed);
+}
+
 MetricsSnapshot Engine::Snapshot() const {
   MetricsSnapshot snap = metrics_.Snapshot();
   snap.threads = threads_;
-  snap.cache_hits = cache_.hits();
-  snap.cache_misses = cache_.misses();
-  snap.cache_evictions = cache_.evictions();
-  snap.cache_size = cache_.size();
   snap.interner_bytes = interner_bytes_.load(std::memory_order_relaxed);
   snap.dedup_entries = dedup_entries_.load(std::memory_order_relaxed);
+  snap.cache_size = snap.dedup_entries;
   return snap;
 }
 

@@ -14,7 +14,6 @@
 #include "common/status.h"
 #include "core/log_study.h"
 #include "engine/metrics.h"
-#include "engine/query_cache.h"
 #include "engine/thread_pool.h"
 #include "loggen/sparql_gen.h"
 #include "obs/admin_server.h"
@@ -36,11 +35,12 @@ struct EngineOptions {
   /// exact. 0 = one shard per thread.
   size_t num_shards = 0;
 
-  /// Total memoization-cache entries across all cache shards.
+  /// Distinct query texts the engine's memo keeps between streams,
+  /// split evenly across work shards: when a stream finishes, a shard
+  /// whose memo holds more than ceil(cache_capacity / num_shards) texts
+  /// is cleared. Within one stream every distinct text is kept, so the
+  /// bound never changes a result, only what the next stream reuses.
   size_t cache_capacity = 1 << 16;
-
-  /// Cache shards (lock granularity). 0 = max(threads, 8).
-  size_t cache_shards = 0;
 
   /// Record per-stage latency histograms (two steady_clock reads per
   /// stage per analyzed query; disable for maximum throughput). Per-stage
@@ -105,8 +105,8 @@ class Engine;
 
 /// One log entry routed to a shard, carrying the `common::Hash64` of its
 /// text. The hash is computed exactly once (in EngineStream::Feed) and
-/// reused for shard routing, per-shard dedup, and query-cache lookups —
-/// the hash-once pipeline. The text is borrowed, never owned: it may
+/// reused for shard routing and the shard memo's lookup — the hash-once
+/// pipeline. The text is borrowed, never owned: it may
 /// point into a caller's LogEntry, an mmapped log file, or a chunk
 /// arena, and only needs to stay valid for the duration of the Feed
 /// call that routed it (everything downstream copies on retention).
@@ -115,14 +115,16 @@ struct RoutedEntry {
   uint64_t hash;
 };
 
-/// An incremental feed into the engine: per-shard dedup state persists
-/// across `Feed` calls, so a log streamed in bounded-memory chunks
+/// An incremental feed into the engine: per-shard counts persist across
+/// `Feed` calls, so a log streamed in bounded-memory chunks
 /// yields exactly the same SourceStudy as a single materialized vector.
 ///
 /// Obtained from `Engine::OpenStream`. Feed/Reject/Finish must be called
 /// from one thread (the engine parallelizes internally); Finish
-/// invalidates the stream. Only one stream per engine may be open at a
-/// time, and AnalyzeLog/AnalyzeEntries must not run while one is open.
+/// invalidates the stream. A stream dropped without Finish leaves no
+/// counts behind, only memo entries. Only one stream per engine may be
+/// open at a time, and AnalyzeLog/AnalyzeEntries must not run while one
+/// is open.
 class EngineStream {
  public:
   EngineStream(EngineStream&&) noexcept;
@@ -163,7 +165,7 @@ class EngineStream {
   std::unique_ptr<Impl> impl_;
 };
 
-/// A parallel, cache-aware streaming log-analysis engine.
+/// A parallel, memoizing streaming log-analysis engine.
 ///
 /// The engine runs the paper's per-query classifier battery (Tables 3-8,
 /// Figure 3) over query logs with three production-minded properties the
@@ -174,11 +176,13 @@ class EngineStream {
 ///     Aggregates are pure uint64 sums reduced through `core::Merge` in
 ///     shard order, so results are bit-identical for a given seed
 ///     regardless of thread or shard count.
-///  2. **Memoization.** A sharded LRU cache keyed on the query text
-///     skips parse + analysis for duplicate queries — the Valid/Unique
-///     gap of the paper's Table 2 (duplication factors of 2-10x) turns
-///     directly into cache hits. The cache persists across logs, so
-///     repeated studies warm-start.
+///  2. **Memoization.** Each work shard keeps a memo from query text to
+///     its verdict and analysis, so every distinct text is parsed and
+///     analyzed once — the Valid/Unique gap of the paper's Table 2
+///     (duplication factors of 2-100x) costs a table lookup per
+///     duplicate. The memo outlives the stream (bounded by
+///     `cache_capacity`), so repeated studies and a serve worker's
+///     repeated request bodies warm-start.
 ///  3. **Observability.** Atomic counters and per-stage latency
 ///     histograms, exported as a `MetricsSnapshot` (text or JSON).
 ///
@@ -208,7 +212,7 @@ class Engine {
   EngineStream OpenStream(std::string name, bool wikidata_like);
 
   /// Cumulative counters since construction (or the last ResetMetrics),
-  /// including cache statistics.
+  /// including memo statistics.
   MetricsSnapshot Snapshot() const;
   void ResetMetrics();
 
@@ -226,22 +230,29 @@ class Engine {
 
  private:
   friend class EngineStream;
-  struct ShardState;
-  void ProcessShard(const std::vector<RoutedEntry>& entries,
-                    ShardState* state);
+  struct ShardMemo;
+  struct ShardTally;
+  void ProcessShard(const std::vector<RoutedEntry>& entries, ShardMemo* memo,
+                    ShardTally* tally);
+  /// Clears every shard memo over its share of `cache_capacity`.
+  void TrimMemos();
+  /// Publishes the memos' footprint to the occupancy gauges.
+  void PublishOccupancy();
   void StartAdminServer();
 
   EngineOptions options_;
   unsigned threads_;
   size_t num_shards_;
-  ShardedQueryCache cache_;
+  /// One memo per work shard, kept across streams. `hash % num_shards_`
+  /// is fixed per engine, so a text always returns to the same memo.
+  std::vector<ShardMemo> memos_;
   std::unique_ptr<ThreadPool> pool_;  // null when threads_ == 1
   Metrics metrics_;
 
   uint64_t start_ns_ = 0;  // construction time, for /statusz uptime
-  /// Occupancy of the open stream's dedup state, updated by FeedImpl
-  /// (chunk granularity, off the per-query hot path) and read by
-  /// Snapshot — the arena/interner gauges on /metrics.
+  /// Occupancy of the shard memos, updated by FeedImpl and Finish (chunk
+  /// granularity, off the per-query hot path) and read by Snapshot — the
+  /// arena/interner gauges on /metrics.
   std::atomic<uint64_t> interner_bytes_{0};
   std::atomic<uint64_t> dedup_entries_{0};
   /// /readyz: true once the constructor completes (the engine accepts

@@ -86,6 +86,8 @@ void Metrics::Merge(const LocalMetrics& local) {
   if (local.parse_failures != 0) {
     parse_failures_.fetch_add(local.parse_failures, kRelaxed);
   }
+  if (local.hits != 0) hits_.fetch_add(local.hits, kRelaxed);
+  if (local.misses != 0) misses_.fetch_add(local.misses, kRelaxed);
   for (size_t c = 0; c < kNumErrorClasses; ++c) {
     if (local.errors[c] != 0) errors_[c].fetch_add(local.errors[c], kRelaxed);
   }
@@ -131,6 +133,7 @@ MetricsSnapshot Metrics::Snapshot() const {
   }
   snap.cache_hits = hits_.load(kRelaxed);
   snap.cache_misses = misses_.load(kRelaxed);
+  snap.cache_evictions = evictions_.load(kRelaxed);
   snap.wall_ns = wall_ns_.load(kRelaxed);
   for (size_t s = 0; s < kNumStages; ++s) {
     std::array<uint64_t, kBuckets> buckets{};
@@ -159,6 +162,7 @@ void Metrics::Reset() {
   for (auto& e : errors_) e.store(0, kRelaxed);
   hits_.store(0, kRelaxed);
   misses_.store(0, kRelaxed);
+  evictions_.store(0, kRelaxed);
   wall_ns_.store(0, kRelaxed);
   for (auto& stage : histogram_) {
     for (auto& bucket : stage) bucket.store(0, kRelaxed);

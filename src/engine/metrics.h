@@ -45,6 +45,8 @@ const char* StageName(Stage s);
 struct alignas(64) LocalMetrics {
   uint64_t analyzed = 0;
   uint64_t parse_failures = 0;
+  uint64_t hits = 0;    // first-in-stream texts served from the memo
+  uint64_t misses = 0;  // texts parsed and analyzed (analyzed + failures)
   std::array<uint64_t, kNumErrorClasses> errors{};
   std::array<uint64_t, kNumStages> stage_total_ns{};
   std::array<uint64_t, kNumStages> stage_max_ns{};
@@ -86,16 +88,20 @@ struct MetricsSnapshot {
   /// rejects included) — the Total-vs-Valid gap of the paper's Table 2,
   /// broken down by cause.
   std::array<uint64_t, kNumErrorClasses> errors{};
+  /// Shard-memo accounting. A hit is a text's first occurrence in a
+  /// stream served from the memo (an earlier stream computed it); a miss
+  /// is a text parsed and analyzed; an eviction is a text dropped when a
+  /// shard memo over its share of `cache_capacity` was cleared at Finish;
+  /// size is the texts the memos retain (== dedup_entries).
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_evictions = 0;
   uint64_t cache_size = 0;
   uint64_t wall_ns = 0;  // cumulative wall time inside AnalyzeEntries
   unsigned threads = 1;
-  /// Occupancy of the currently-open stream's per-shard dedup state
-  /// (interner + parse-dictionary bytes reserved, distinct texts
-  /// pinned). Updated once per Feed chunk, zeroed at Finish — a gauge,
-  /// not a counter.
+  /// Occupancy of the engine's shard memos (interner + parse-dictionary
+  /// bytes reserved, distinct texts retained). Updated once per Feed
+  /// chunk and after Finish's bound check — a gauge, not a counter.
   uint64_t interner_bytes = 0;
   uint64_t dedup_entries = 0;
 
@@ -129,14 +135,11 @@ class Metrics {
   Metrics();
 
   void AddEntries(uint64_t n) { entries_.fetch_add(n, kRelaxed); }
-  void AddAnalyzed(uint64_t n) { analyzed_.fetch_add(n, kRelaxed); }
-  void AddParseFailures(uint64_t n) { parse_failures_.fetch_add(n, kRelaxed); }
   /// Counts one rejected entry under its taxonomy class.
   void AddError(ErrorClass c, uint64_t n = 1) {
     errors_[static_cast<size_t>(c)].fetch_add(n, kRelaxed);
   }
-  void AddHits(uint64_t n) { hits_.fetch_add(n, kRelaxed); }
-  void AddMisses(uint64_t n) { misses_.fetch_add(n, kRelaxed); }
+  void AddEvictions(uint64_t n) { evictions_.fetch_add(n, kRelaxed); }
   void AddWallNs(uint64_t ns) { wall_ns_.fetch_add(ns, kRelaxed); }
 
   /// Records one latency sample for a stage.
@@ -148,8 +151,8 @@ class Metrics {
   /// skipped — a merge is ~tens of RMWs, not kNumStages*kLatencyBuckets.
   void Merge(const LocalMetrics& local);
 
-  /// Copies counters into a snapshot (cache fields are left zero; the
-  /// engine overlays its cache's counters).
+  /// Copies counters into a snapshot (cache_size and the occupancy
+  /// gauges are left zero; the engine overlays its memos' footprint).
   MetricsSnapshot Snapshot() const;
 
   void Reset();
@@ -164,6 +167,7 @@ class Metrics {
   std::array<std::atomic<uint64_t>, kNumErrorClasses> errors_;
   std::atomic<uint64_t> hits_;
   std::atomic<uint64_t> misses_;
+  std::atomic<uint64_t> evictions_;
   std::atomic<uint64_t> wall_ns_;
   std::array<std::array<std::atomic<uint64_t>, kBuckets>, kNumStages>
       histogram_;

@@ -64,7 +64,7 @@ struct IngestOptions {
   /// them to the parser. They are not counted at all.
   bool skip_blank_lines = true;
 
-  /// Engine configuration: threads, shards, cache, parse limits.
+  /// Engine configuration: threads, shards, memo bound, parse limits.
   engine::EngineOptions engine;
 
   /// Live run reporting for this ingest (independent of
@@ -124,8 +124,8 @@ struct IngestReport {
 Result<IngestReport> IngestStream(std::istream& in,
                                   const IngestOptions& options = {});
 
-/// As above, but runs on a caller-owned engine, sharing its warm
-/// memoization cache across logs. `options.engine` is ignored.
+/// As above, but runs on a caller-owned engine, whose memo stays warm
+/// across logs. `options.engine` is ignored.
 Result<IngestReport> IngestStream(std::istream& in, engine::Engine* engine,
                                   const IngestOptions& options);
 

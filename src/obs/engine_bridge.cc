@@ -67,7 +67,7 @@ void AppendEngineFamilies(const MetricsSnapshot& snap, uint64_t queue_depth,
                                static_cast<double>(snap.entries_processed)));
   out->push_back(CounterFamily(
       "rwdt_engine_queries_analyzed",
-      "Full parse+analyze executions (cache misses).", labels,
+      "Full parse+analyze executions of valid texts.", labels,
       static_cast<double>(snap.queries_analyzed)));
   out->push_back(CounterFamily("rwdt_engine_parse_failures",
                                "Distinct query texts that failed to parse.",
@@ -94,30 +94,32 @@ void AppendEngineFamilies(const MetricsSnapshot& snap, uint64_t queue_depth,
   }
 
   out->push_back(CounterFamily("rwdt_engine_cache_hits",
-                               "Query-cache lookup hits.", labels,
+                               "First-in-stream texts served from the memo.",
+                               labels,
                                static_cast<double>(snap.cache_hits)));
   out->push_back(CounterFamily("rwdt_engine_cache_misses",
-                               "Query-cache lookup misses.", labels,
+                               "Texts parsed and analyzed.", labels,
                                static_cast<double>(snap.cache_misses)));
   out->push_back(CounterFamily("rwdt_engine_cache_evictions",
-                               "Query-cache LRU evictions.", labels,
+                               "Texts dropped by a memo bound reset.",
+                               labels,
                                static_cast<double>(snap.cache_evictions)));
   out->push_back(GaugeFamily("rwdt_engine_cache_size",
-                             "Query-cache resident entries.", labels,
+                             "Texts the engine's memos retain.", labels,
                              static_cast<double>(snap.cache_size)));
   out->push_back(GaugeFamily(
-      "rwdt_engine_cache_hit_ratio", "Query-cache hit ratio in [0,1].",
+      "rwdt_engine_cache_hit_ratio", "Memo hit ratio in [0,1].",
       labels, ComputeEngineTick(snap, 0, 0).cache_hit_rate));
   out->push_back(GaugeFamily("rwdt_engine_threads", "Engine worker threads.",
                              labels, static_cast<double>(snap.threads)));
   out->push_back(GaugeFamily(
       "rwdt_engine_interner_bytes",
-      "Bytes reserved by the open stream's dedup interners and parse "
+      "Bytes reserved by the memos' dedup interners and parse "
       "dictionaries.",
       labels, static_cast<double>(snap.interner_bytes)));
   out->push_back(GaugeFamily(
       "rwdt_engine_dedup_entries",
-      "Distinct query texts pinned by the open stream's dedup state.",
+      "Distinct query texts the memos retain.",
       labels, static_cast<double>(snap.dedup_entries)));
   out->push_back(GaugeFamily(
       "rwdt_engine_queue_depth",

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 
 #include "common/json.h"
+#include "serve/http_server.h"
 
 namespace rwdt::obs {
 namespace internal {
@@ -132,6 +134,34 @@ bool DrainActiveTraceJson(std::string* out, size_t limit) {
   if (internal::g_collector == nullptr) return false;
   *out = internal::g_collector->ToChromeJson(limit);
   return true;
+}
+
+serve::HttpResponse HandleTracez(const serve::HttpRequest& request) {
+  serve::HttpResponse resp;
+  // A trace drain is a point-in-time snapshot; caching one would hide
+  // every later scrape.
+  resp.extra_headers.push_back({"Cache-Control", "no-store"});
+  // Default cap: an 8192-event ring per thread times a worker pool
+  // renders multi-MB otherwise.
+  const std::string param = serve::QueryParam(request.query, "limit", "5000");
+  const char* end = param.data() + param.size();
+  size_t limit = 0;
+  // from_chars on an unsigned type takes digits only: no sign, no space.
+  const auto [ptr, ec] = std::from_chars(param.data(), end, limit);
+  if (ec != std::errc() || ptr != end) {
+    resp.status = 400;
+    resp.body = "limit must be a non-negative integer\n";
+    return resp;
+  }
+  std::string json;
+  if (DrainActiveTraceJson(&json, limit)) {
+    resp.content_type = "application/json; charset=utf-8";
+    resp.body = std::move(json);
+  } else {
+    resp.status = 503;
+    resp.body = "no active trace collector (set RWDT_TRACE or install one)\n";
+  }
+  return resp;
 }
 
 uint64_t TraceNowNs() {

@@ -13,6 +13,11 @@
 #include "common/status.h"
 #include "obs/registry.h"
 
+namespace rwdt::serve {
+struct HttpRequest;
+struct HttpResponse;
+}  // namespace rwdt::serve
+
 namespace rwdt::obs {
 
 /// One completed span, as drained from a thread's ring buffer.
@@ -306,6 +311,13 @@ inline bool SpanEnabled() {
 /// /tracez pull a trace from a live run at any moment. `limit` caps the
 /// rendered events as in ToChromeJson (0 = all).
 bool DrainActiveTraceJson(std::string* out, size_t limit = 0);
+
+/// GET /tracez, shared by the engine admin server and the serve front
+/// end: drains the active collector as Chrome trace JSON (503 when none
+/// is installed), never cacheable. `?limit=N` caps the rendered events
+/// (default 5000, 0 = all); N must be 1*DIGIT and fit a size_t, anything
+/// else is a 400.
+serve::HttpResponse HandleTracez(const serve::HttpRequest& request);
 
 /// Steady-clock nanoseconds (the clock all span timestamps use).
 uint64_t TraceNowNs();

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <sstream>
 #include <utility>
 
@@ -92,9 +91,9 @@ struct ClassifyServer::Job {
 };
 
 /// A batch worker and its private engine. The engine runs
-/// single-threaded and keeps its memoization cache warm across
-/// requests — duplicate queries across a tenant's traffic are cache
-/// hits, exactly like duplicate lines within one log.
+/// single-threaded and its memo outlives each request's stream, so a
+/// query text repeated across a tenant's requests is analyzed once,
+/// exactly like duplicate lines within one log.
 struct ClassifyServer::Worker {
   std::unique_ptr<engine::Engine> engine;
   std::thread thread;
@@ -219,7 +218,9 @@ Status ClassifyServer::Start() {
     return HandleSlowz(r);
   });
   http_->Handle("GET", "/tracez", [this](const HttpRequest& r) {
-    return HandleTracez(r);
+    HttpResponse resp = obs::HandleTracez(r);
+    CountRequest("/tracez", resp.status);
+    return resp;
   });
   http_->Handle("GET", "/profilez", [this](const HttpRequest& r) {
     HttpResponse resp = obs::HandleProfilez(r);
@@ -448,26 +449,6 @@ HttpResponse ClassifyServer::HandleSlowz(const HttpRequest&) {
     resp.body = slow_log_->ToJson();
   }
   CountRequest("/slowz", resp.status);
-  return resp;
-}
-
-HttpResponse ClassifyServer::HandleTracez(const HttpRequest& request) {
-  HttpResponse resp;
-  resp.extra_headers.push_back({"Cache-Control", "no-store"});
-  // Default cap: 5000 events per scrape. An 8192-event ring per thread
-  // times a worker pool renders multi-MB otherwise; limit=0 means all.
-  size_t limit = 5000;
-  const std::string param = QueryParam(request.query, "limit");
-  if (!param.empty()) limit = std::strtoull(param.c_str(), nullptr, 10);
-  std::string json;
-  if (obs::DrainActiveTraceJson(&json, limit)) {
-    resp.content_type = kJsonType;
-    resp.body = std::move(json);
-  } else {
-    resp.status = 503;
-    resp.body = "no active trace collector\n";
-  }
-  CountRequest("/tracez", resp.status);
   return resp;
 }
 

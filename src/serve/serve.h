@@ -35,7 +35,7 @@ struct ServeOptions {
   size_t queue_capacity = 256;
 
   /// Batch workers draining the queue. Each owns a private
-  /// single-threaded engine::Engine (warm memoization cache across
+  /// single-threaded engine::Engine (its memo stays warm across
   /// requests; EngineStream's one-stream-per-engine rule holds because
   /// a worker processes jobs serially).
   unsigned workers = 2;
@@ -108,7 +108,8 @@ struct ServeOptions {
 ///                   slowest requests of the recent window with trace
 ///                   id, timing breakdown, verdict, explained plan.
 ///   GET  /tracez?limit=N   the active TraceCollector as Chrome trace
-///                   JSON (503 when none); N caps the events rendered.
+///                   JSON (503 when none); N caps the events rendered
+///                   (digits only, else 400).
 ///   GET  /quitquitquit   requests shutdown (releases WaitForQuit).
 ///
 /// Request flow: handler threads validate + check the tenant quota,
@@ -175,7 +176,6 @@ class ClassifyServer {
   HttpResponse HandleIngest(const HttpRequest& request, bool full_report);
   HttpResponse HandleStatusz(const HttpRequest& request);
   HttpResponse HandleSlowz(const HttpRequest& request);
-  HttpResponse HandleTracez(const HttpRequest& request);
 
   /// The request's trace context: parsed from `traceparent` (keeping
   /// the caller's trace id and sampled flag, with the caller's span id

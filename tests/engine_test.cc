@@ -2,6 +2,7 @@
 #include <atomic>
 #include <memory>
 #include <span>
+#include <sstream>
 #include <string_view>
 #include <vector>
 
@@ -11,8 +12,10 @@
 #include "core/log_study.h"
 #include "engine/engine.h"
 #include "engine/metrics.h"
-#include "engine/query_cache.h"
 #include "engine/thread_pool.h"
+#include "ingest/ingest.h"
+#include "loggen/corruptor.h"
+#include "loggen/log_text.h"
 
 namespace rwdt::engine {
 namespace {
@@ -211,6 +214,95 @@ TEST(EngineTest, CacheWarmsAcrossLogs) {
   EXPECT_EQ(engine.Snapshot().queries_analyzed, analyzed_after_first);
 }
 
+TEST(EngineTest, OccupancyGaugesDescribeTheRetainedMemo) {
+  // The memo outlives the stream, so after Finish the gauges describe
+  // what the engine still holds instead of reading 0.
+  EngineOptions opts;
+  opts.threads = 2;
+  Engine engine(opts);
+  engine.AnalyzeLog(loggen::ExampleProfile(1000), 8);
+  const MetricsSnapshot snap = engine.Snapshot();
+  EXPECT_GT(snap.dedup_entries, 0u);
+  EXPECT_EQ(snap.dedup_entries, snap.cache_size);
+  EXPECT_GT(snap.interner_bytes, 0u);
+}
+
+TEST(EngineTest, BoundedMemoStaysExactAcrossLogs) {
+  // A memo bound far below the logs' distinct counts clears the shard
+  // memos after every stream; each study must still equal a fresh
+  // engine's, in any order of logs.
+  const loggen::SourceProfile a = loggen::ExampleProfile(1200);
+  loggen::SourceProfile b = loggen::ExampleProfile(900);
+  b.name = "other";
+  auto fresh = [](const loggen::SourceProfile& p, uint64_t seed) {
+    EngineOptions opts;
+    opts.threads = 2;
+    Engine engine(opts);
+    return engine.AnalyzeLog(p, seed);
+  };
+  EngineOptions opts;
+  opts.threads = 2;
+  opts.cache_capacity = 8;
+  Engine engine(opts);
+  EXPECT_EQ(engine.AnalyzeLog(a, 31), fresh(a, 31));
+  EXPECT_EQ(engine.AnalyzeLog(b, 32), fresh(b, 32));
+  EXPECT_EQ(engine.AnalyzeLog(a, 31), fresh(a, 31));
+  const MetricsSnapshot snap = engine.Snapshot();
+  EXPECT_GT(snap.cache_evictions, 0u);
+  EXPECT_LE(snap.cache_size, 8u);
+}
+
+TEST(EngineTest, DroppedStreamLeavesNoCounts) {
+  // A stream abandoned without Finish (an ingest error return) may leave
+  // memo entries behind, but none of its counts: the next stream on the
+  // same engine sees every text as a first occurrence again. The dropped
+  // stream sees the later half of the log in reverse, so the memo's
+  // per-text positions from it disagree with the next stream's order.
+  const loggen::SourceProfile p = loggen::ExampleProfile(1000);
+  const auto entries = loggen::GenerateLog(p, 41);
+  EngineOptions opts;
+  opts.threads = 2;
+  Engine engine(opts);
+  {
+    EngineStream dropped = engine.OpenStream("dropped", false);
+    dropped.Feed(std::vector<loggen::LogEntry>(
+        entries.rbegin(), entries.rbegin() + entries.size() / 2));
+    dropped.Reject(ErrorClass::kEncodingError, 3);
+  }
+  Engine reference(opts);
+  EXPECT_EQ(engine.AnalyzeLog(p, 41), reference.AnalyzeLog(p, 41));
+}
+
+TEST(EngineTest, CallerOwnedEngineIngestsRepeatedBodiesOnce) {
+  // A serve worker ingests every request body on its own long-lived
+  // engine. A repeated body must yield the same report and be served
+  // entirely from the memo.
+  auto log = loggen::GenerateLog(loggen::ExampleProfile(800), 52);
+  loggen::CorruptLog(&log, 53);
+  std::ostringstream text;
+  loggen::WriteLogText(log, text);
+  EngineOptions opts;
+  opts.threads = 1;
+  Engine engine(opts);
+  ingest::IngestOptions iopts;
+  iopts.source_name = "body";
+  std::istringstream first_in(text.str());
+  auto first = ingest::IngestStream(first_in, &engine, iopts);
+  ASSERT_TRUE(first.ok()) << first.error_message();
+  const uint64_t analyzed = engine.Snapshot().queries_analyzed;
+  std::istringstream second_in(text.str());
+  auto second = ingest::IngestStream(second_in, &engine, iopts);
+  ASSERT_TRUE(second.ok()) << second.error_message();
+  EXPECT_EQ(engine.Snapshot().queries_analyzed, analyzed);
+  EXPECT_GT(engine.Snapshot().cache_hits, 0u);
+  // Equal apart from the engine's cumulative counters.
+  first.value().metrics = {};
+  second.value().metrics = {};
+  EXPECT_EQ(first.value().study, second.value().study);
+  EXPECT_EQ(first.value().ToJson(), second.value().ToJson());
+  EXPECT_GT(first.value().study.valid, 0u);
+}
+
 core::LogAggregates RandomAggregates(Rng* rng) {
   core::LogAggregates a;
   a.queries = rng->NextBelow(1000);
@@ -313,35 +405,6 @@ TEST(ThreadPoolTest, RunsAllTasks) {
   }
   pool.Wait();
   EXPECT_EQ(count.load(), 150);
-}
-
-TEST(QueryCacheTest, LruEvictsOldest) {
-  ShardedQueryCache cache(/*capacity=*/2, /*shards=*/1);
-  auto entry = [] {
-    auto e = std::make_shared<CachedQuery>();
-    e->parse_ok = true;
-    return e;
-  };
-  cache.Put("a", entry());
-  cache.Put("b", entry());
-  EXPECT_NE(cache.Get("a"), nullptr);  // refresh "a": now b is LRU
-  cache.Put("c", entry());             // evicts "b"
-  EXPECT_EQ(cache.Get("b"), nullptr);
-  EXPECT_NE(cache.Get("a"), nullptr);
-  EXPECT_NE(cache.Get("c"), nullptr);
-  EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(QueryCacheTest, SharedPtrSurvivesEviction) {
-  ShardedQueryCache cache(/*capacity=*/1, /*shards=*/1);
-  auto first = std::make_shared<CachedQuery>();
-  first->parse_ok = true;
-  cache.Put("x", first);
-  auto held = cache.Get("x");
-  cache.Put("y", std::make_shared<CachedQuery>());  // evicts "x"
-  ASSERT_NE(held, nullptr);
-  EXPECT_TRUE(held->parse_ok);  // still alive and intact
 }
 
 TEST(MetricsTest, SnapshotSummarizesHistogram) {

@@ -234,6 +234,21 @@ TEST(AdminServerTest, TracezWithoutCollectorIs503) {
   EXPECT_EQ(HttpGet(eng.admin_server()->port(), "/tracez").status, 503);
 }
 
+TEST(AdminServerTest, TracezRejectsMalformedLimit) {
+  // limit is 1*DIGIT: a non-number used to mean 0 ("all events") and a
+  // negative one wrapped to 2^64-1.
+  TraceCollector trace;
+  engine::EngineOptions opts;
+  opts.threads = 1;
+  opts.admin_port = engine::EngineOptions::kAdminPortAuto;
+  engine::Engine eng(opts);
+  ASSERT_NE(eng.admin_server(), nullptr);
+  const uint16_t port = eng.admin_server()->port();
+  EXPECT_EQ(HttpGet(port, "/tracez?limit=abc").status, 400);
+  EXPECT_EQ(HttpGet(port, "/tracez?limit=-1").status, 400);
+  EXPECT_EQ(HttpGet(port, "/tracez?limit=7").status, 200);
+}
+
 TEST(AdminServerTest, AdminOffByDefaultAndBindFailureIsNonFatal) {
   engine::Engine off;  // admin_port defaults to 0
   EXPECT_EQ(off.admin_server(), nullptr);

@@ -569,9 +569,11 @@ TEST(LogTest, JsonLinesSinkEmitsParseableRecords) {
 TEST(ProgressTest, TicksAndRunReportMatchFinalSnapshot) {
   engine::Metrics metrics;
   metrics.AddEntries(123);
-  metrics.AddAnalyzed(45);
-  metrics.AddHits(10);
-  metrics.AddMisses(5);
+  engine::LocalMetrics local;
+  local.analyzed = 45;
+  local.hits = 10;
+  local.misses = 5;
+  metrics.Merge(local);
 
   const std::string path = "obs_test_report.json";
   ProgressOptions popts;

@@ -579,6 +579,15 @@ TEST(ClassifyServerTest, TracezRequiresACollectorAndHonorsLimit) {
   EXPECT_TRUE(Contains(traced.body, "deadbeefcafef00d")) << traced.body;
 }
 
+TEST(ClassifyServerTest, TracezRejectsMalformedLimit) {
+  ClassifyServer server(BaseOptions());
+  ASSERT_TRUE(server.Start().ok());
+  obs::TraceCollector collector;
+  EXPECT_EQ(Fetch(server.port(), "GET", "/tracez?limit=abc").status, 400);
+  EXPECT_EQ(Fetch(server.port(), "GET", "/tracez?limit=-1").status, 400);
+  EXPECT_EQ(Fetch(server.port(), "GET", "/tracez?limit=3").status, 200);
+}
+
 TEST(ClassifyServerTest, ProfilezCapturesUnderLoad) {
   if (!obs::ProfilerSupported()) GTEST_SKIP() << "no backtrace(3) here";
   ClassifyServer server(BaseOptions());

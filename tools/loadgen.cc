@@ -115,7 +115,10 @@ bool SendAll(int fd, const std::string& data) {
 
 /// Reads one keep-alive HTTP response; returns the status code, or -1
 /// on a transport error. `buf` carries bytes across responses.
-int ReadResponse(int fd, std::string* buf) {
+/// `*server_closes` is set when the response carries `Connection: close`
+/// (the server's per-connection request budget ran out): the socket is
+/// then finished and the next request needs a new connection.
+int ReadResponse(int fd, std::string* buf, bool* server_closes) {
   char chunk[4096];
   size_t head_end;
   while ((head_end = buf->find("\r\n\r\n")) == std::string::npos) {
@@ -129,12 +132,14 @@ int ReadResponse(int fd, std::string* buf) {
     status = std::atoi(buf->c_str() + 9);
   }
   size_t body_len = 0;
-  // Case-insensitive scan is unnecessary: our server emits exactly
-  // "Content-Length".
+  // Case-insensitive scans are unnecessary: our server emits exactly
+  // "Content-Length" and "Connection".
   const size_t cl = buf->find("Content-Length:");
   if (cl != std::string::npos && cl < head_end) {
     body_len = static_cast<size_t>(std::atoll(buf->c_str() + cl + 15));
   }
+  const size_t conn = buf->find("Connection: close\r\n");
+  *server_closes = conn != std::string::npos && conn < head_end;
   while (buf->size() < frame_head + body_len) {
     const ssize_t n = recv(fd, chunk, sizeof(chunk), 0);
     if (n <= 0) return -1;
@@ -168,7 +173,8 @@ std::string BuildRequest(const Config& config, const std::string& query,
 }
 
 /// One sender thread: fires its stripe of the arrival schedule at the
-/// scheduled instants over a keep-alive connection.
+/// scheduled instants over a keep-alive connection, opening a new one
+/// whenever the server closes the current one.
 void Sender(const Config& config, const std::vector<double>& arrivals,
             size_t stripe, size_t stripes,
             const std::vector<std::string>& queries, Clock::time_point start,
@@ -179,25 +185,31 @@ void Sender(const Config& config, const std::vector<double>& arrivals,
     const auto due =
         start + std::chrono::duration_cast<Clock::duration>(
                     std::chrono::duration<double>(arrivals[i]));
-    std::this_thread::sleep_until(due);
+    // Connect ahead of the due instant, so the reconnect after a
+    // `Connection: close` costs the next arrival no time.
     if (fd < 0) {
       fd = Connect(config);
       buf.clear();
-      if (fd < 0) {
-        stats->transport_errors++;
-        continue;
-      }
+    }
+    std::this_thread::sleep_until(due);
+    if (fd < 0) {
+      stats->transport_errors++;
+      continue;
     }
     const auto sent_at = Clock::now();
     const uint64_t trace_id = config.trace ? ArrivalTraceId(config, i) : 0;
     const std::string request =
         BuildRequest(config, queries[i % queries.size()], trace_id);
     int status = -1;
-    if (SendAll(fd, request)) status = ReadResponse(fd, &buf);
-    if (status < 0) {
-      stats->transport_errors++;
+    bool server_closes = false;
+    if (SendAll(fd, request)) status = ReadResponse(fd, &buf, &server_closes);
+    if (status < 0 || server_closes) {
+      // Either way the socket is done; the next arrival reconnects.
       close(fd);
       fd = -1;
+    }
+    if (status < 0) {
+      stats->transport_errors++;
       continue;
     }
     const double latency_ms =

@@ -113,7 +113,7 @@ class Result {
 // --- Error taxonomy ---------------------------------------------------------
 
 /// The ingest pipeline's failure taxonomy: every rejected raw query is
-/// assigned exactly one class, counted per-class in `engine::Metrics`
+/// assigned exactly one class, counted per-class in `engine::LocalMetrics`
 /// (the paper's query-log tables are defined over the *Valid* subset
 /// precisely because real logs carry all of these).
 enum class ErrorClass : size_t {

@@ -11,7 +11,6 @@
 #include "common/hash.h"
 #include "common/json.h"
 #include "core/query_analysis.h"
-#include "obs/engine_bridge.h"
 #include "obs/log.h"
 #include "obs/trace.h"
 #include "sparql/parser.h"
@@ -157,11 +156,15 @@ Engine::Engine(const EngineOptions& options)
   if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(threads_);
   start_ns_ = NowNs();
   ready_ = std::make_shared<std::atomic<bool>>(false);
-  const uint64_t ordinal =
-      g_engine_ordinal.fetch_add(1, std::memory_order_relaxed);
-  registry_collector_ = obs::RegisterEngineMetrics(
-      &obs::MetricRegistry::Global(), this,
-      {{"engine", std::to_string(ordinal)}});
+  ordinal_ = g_engine_ordinal.fetch_add(1, std::memory_order_relaxed);
+  // Pull-only: the families are built from Snapshot() at scrape time,
+  // so an unscraped engine does no registry work at all.
+  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
+  registry_collector_ = obs::ScopedCollector(
+      &registry, registry.AddCollector([this](auto* out) {
+        AppendEngineFamilies(Snapshot(), queue_depth(),
+                             {{"engine", std::to_string(ordinal_)}}, out);
+      }));
   StartAdminServer();
   if (!options_.profile_path.empty()) {
     obs::ProfileOptions popts;
@@ -174,7 +177,7 @@ Engine::Engine(const EngineOptions& options)
 
 Engine::~Engine() {
   if (ready_ != nullptr) ready_->store(false, std::memory_order_release);
-  // Order matters: the admin server's handlers and the registry bridge
+  // Order matters: the admin server's handlers and the registry collector
   // both read engine state, so they must be torn down before the engine
   // members they touch. Stop the server (drains in-flight /metrics
   // scrapes), then unhook the global-registry collector.
@@ -274,7 +277,11 @@ core::SourceStudy Engine::AnalyzeLog(const loggen::SourceProfile& profile,
                                      uint64_t seed) {
   const uint64_t t0 = NowNs();
   const auto entries = loggen::GenerateLog(profile, seed);
-  metrics_.Record(Stage::kGenerate, NowNs() - t0);
+  const uint64_t generate_ns = NowNs() - t0;
+  {
+    std::lock_guard<std::mutex> lock(metrics_mu_);
+    totals_.Record(Stage::kGenerate, generate_ns);
+  }
   return AnalyzeEntries(profile.name, profile.wikidata_like, entries);
 }
 
@@ -367,17 +374,16 @@ void EngineStream::FeedImpl(size_t count, ForEachText&& for_each_text) {
   }
 
   im.study.total += count;
-  eng.metrics_.AddEntries(count);
-  eng.metrics_.AddWallNs(NowNs() - t_start);
-  eng.PublishOccupancy();
+  eng.AddFeedTotals(count, NowNs() - t_start, /*evictions=*/0);
 }
 
 void EngineStream::Reject(ErrorClass c, uint64_t n) {
   Impl& im = *impl_;
   im.study.total += n;
   im.study.errors[static_cast<size_t>(c)] += n;
-  im.engine->metrics_.AddEntries(n);
-  im.engine->metrics_.AddError(c, n);
+  std::lock_guard<std::mutex> lock(im.engine->metrics_mu_);
+  im.engine->totals_.entries += n;
+  im.engine->totals_.AddError(c, n);
 }
 
 core::SourceStudy EngineStream::Finish() {
@@ -426,8 +432,8 @@ void Engine::ProcessShard(const std::vector<RoutedEntry>& entries,
   const bool timed = options_.collect_stage_timings;
   obs::Span shard_span("shard");
   // Worker-private metric slab (stack-resident, cache-hot): the per-query
-  // path below touches no shared counter; everything folds into the
-  // shared Metrics in one Merge when this task ends, i.e. before the
+  // path below touches no shared counter; everything is added into the
+  // engine's totals under one lock when this task ends, i.e. before the
   // enclosing Feed returns.
   LocalMetrics local;
 
@@ -535,7 +541,8 @@ void Engine::ProcessShard(const std::vector<RoutedEntry>& entries,
     aggregate(memo->analysis[id], &tally->unique_agg);
   }
 
-  metrics_.Merge(local);
+  std::lock_guard<std::mutex> lock(metrics_mu_);
+  totals_.Add(local);
 }
 
 void Engine::TrimMemos() {
@@ -547,11 +554,11 @@ void Engine::TrimMemos() {
     evicted += memo.seen.size();
     memo = ShardMemo();
   }
-  metrics_.AddEvictions(evicted);
-  PublishOccupancy();
+  AddFeedTotals(/*entries=*/0, /*wall_ns=*/0, evicted);
 }
 
-void Engine::PublishOccupancy() {
+void Engine::AddFeedTotals(uint64_t entries, uint64_t wall_ns,
+                           uint64_t evictions) {
   // One pass over the memos after the workers quiesced, never on the
   // per-query path.
   uint64_t interner_bytes = 0;
@@ -560,19 +567,22 @@ void Engine::PublishOccupancy() {
     interner_bytes += memo.seen.bytes_reserved() + memo.dict.bytes_reserved();
     dedup_entries += memo.seen.size();
   }
-  interner_bytes_.store(interner_bytes, std::memory_order_relaxed);
-  dedup_entries_.store(dedup_entries, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(metrics_mu_);
+  totals_.entries += entries;
+  totals_.wall_ns += wall_ns;
+  totals_.evictions += evictions;
+  interner_bytes_ = interner_bytes;
+  dedup_entries_ = dedup_entries;
 }
 
 MetricsSnapshot Engine::Snapshot() const {
-  MetricsSnapshot snap = metrics_.Snapshot();
+  std::lock_guard<std::mutex> lock(metrics_mu_);
+  MetricsSnapshot snap = Summarize(totals_);
   snap.threads = threads_;
-  snap.interner_bytes = interner_bytes_.load(std::memory_order_relaxed);
-  snap.dedup_entries = dedup_entries_.load(std::memory_order_relaxed);
-  snap.cache_size = snap.dedup_entries;
+  snap.interner_bytes = interner_bytes_;
+  snap.dedup_entries = dedup_entries_;
+  snap.cache_size = dedup_entries_;
   return snap;
 }
-
-void Engine::ResetMetrics() { metrics_.Reset(); }
 
 }  // namespace rwdt::engine

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -50,11 +51,11 @@ struct EngineOptions {
 
   /// Embedded admin server (GET /metrics, /healthz, /readyz, /statusz,
   /// /tracez). 0 (the default) = no server: no thread, no socket, and —
-  /// because the registry bridge is pull-only — zero added work on the
-  /// analysis hot path. 1-65535 = that TCP port; kAdminPortAuto = let
-  /// the kernel pick a free port (tests; read it back via
-  /// `admin_server()->port()`). Examples and benches populate this from
-  /// the RWDT_ADMIN_PORT environment variable.
+  /// because the engine's registry families are built only at scrape
+  /// time — zero added work on the analysis hot path. 1-65535 = that
+  /// TCP port; kAdminPortAuto = let the kernel pick a free port (tests;
+  /// read it back via `admin_server()->port()`). Examples and benches
+  /// populate this from the RWDT_ADMIN_PORT environment variable.
   uint32_t admin_port = 0;
 
   /// Admin bind address. Defaults to loopback: the admin endpoints
@@ -65,8 +66,8 @@ struct EngineOptions {
   static constexpr uint32_t kAdminPortAuto = 65536;
 
   /// Live run reporting: while a stream is open (AnalyzeLog,
-  /// AnalyzeEntries, OpenStream..Finish), a background thread snapshots
-  /// Metrics every `progress.interval_ms` and logs a one-line summary;
+  /// AnalyzeEntries, OpenStream..Finish), a background thread takes a
+  /// Snapshot every `progress.interval_ms` and logs a one-line summary;
   /// on Finish a JSON run report goes to `progress.report_path` if set.
   /// Disabled by default (interval 0, empty path).
   obs::ProgressOptions progress;
@@ -183,8 +184,11 @@ class EngineStream {
 ///     duplicate. The memo outlives the stream (bounded by
 ///     `cache_capacity`), so repeated studies and a serve worker's
 ///     repeated request bodies warm-start.
-///  3. **Observability.** Atomic counters and per-stage latency
-///     histograms, exported as a `MetricsSnapshot` (text or JSON).
+///  3. **Observability.** Each shard task counts into a private
+///     `LocalMetrics` slab, per-stage latency histograms included, and
+///     adds it into the engine's totals under one mutex when it ends.
+///     The totals are read as a `MetricsSnapshot` (text or JSON) and,
+///     at scrape time, as the `rwdt_engine_*` registry families.
 ///
 /// Thread-safe for metrics reads; `AnalyzeLog`/`AnalyzeEntries` must not
 /// be called concurrently on the same engine.
@@ -211,10 +215,8 @@ class Engine {
   /// See EngineStream for the contract.
   EngineStream OpenStream(std::string name, bool wikidata_like);
 
-  /// Cumulative counters since construction (or the last ResetMetrics),
-  /// including memo statistics.
+  /// Cumulative counters since construction, including memo statistics.
   MetricsSnapshot Snapshot() const;
-  void ResetMetrics();
 
   unsigned threads() const { return threads_; }
   size_t num_shards() const { return num_shards_; }
@@ -222,6 +224,10 @@ class Engine {
 
   /// Shard tasks queued or running on the pool (0 when single-threaded).
   size_t queue_depth() const;
+
+  /// This engine's `engine="<ordinal>"` label value on /metrics: unique
+  /// among the engines of one process.
+  uint64_t ordinal() const { return ordinal_; }
 
   /// The embedded admin server, or null when `admin_port == 0` or the
   /// bind failed (failure is logged, never fatal — an engine must not
@@ -236,8 +242,9 @@ class Engine {
                     ShardTally* tally);
   /// Clears every shard memo over its share of `cache_capacity`.
   void TrimMemos();
-  /// Publishes the memos' footprint to the occupancy gauges.
-  void PublishOccupancy();
+  /// Adds the feeding thread's counts to the totals and publishes the
+  /// memos' footprint to the occupancy gauges, under one lock.
+  void AddFeedTotals(uint64_t entries, uint64_t wall_ns, uint64_t evictions);
   void StartAdminServer();
 
   EngineOptions options_;
@@ -247,18 +254,23 @@ class Engine {
   /// is fixed per engine, so a text always returns to the same memo.
   std::vector<ShardMemo> memos_;
   std::unique_ptr<ThreadPool> pool_;  // null when threads_ == 1
-  Metrics metrics_;
+
+  /// The engine's counters and memo occupancy gauges. Every writer is
+  /// off the per-query path: one `Add` per shard task, plus per-Feed,
+  /// per-Reject and per-Finish updates from the feeding thread.
+  mutable std::mutex metrics_mu_;
+  LocalMetrics totals_;
+  uint64_t interner_bytes_ = 0;
+  uint64_t dedup_entries_ = 0;
 
   uint64_t start_ns_ = 0;  // construction time, for /statusz uptime
-  /// Occupancy of the shard memos, updated by FeedImpl and Finish (chunk
-  /// granularity, off the per-query hot path) and read by Snapshot — the
-  /// arena/interner gauges on /metrics.
-  std::atomic<uint64_t> interner_bytes_{0};
-  std::atomic<uint64_t> dedup_entries_{0};
+  uint64_t ordinal_ = 0;
   /// /readyz: true once the constructor completes (the engine accepts
   /// Feed), false again the moment destruction begins.
   std::shared_ptr<std::atomic<bool>> ready_;
-  obs::ScopedCollector registry_collector_;  // global-registry bridge
+  /// Scrape-time collector on the global registry: the engine's
+  /// `rwdt_engine_*` families, built from Snapshot().
+  obs::ScopedCollector registry_collector_;
   /// Process-footprint gauges (rwdt_proc_*) on /metrics while this
   /// engine's admin server is up; inert if another collector (e.g. a
   /// serve front end) already installed one.

@@ -1,13 +1,20 @@
 #include "engine/metrics.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <utility>
 
 #include "common/json.h"
 #include "common/table.h"
+#include "obs/openmetrics.h"
 
 namespace rwdt::engine {
 namespace {
+
+using obs::FamilySnapshot;
+using obs::Labels;
+using obs::MetricType;
 
 /// Geometric midpoint of bucket b (values in [2^(b-1), 2^b)).
 uint64_t BucketMid(size_t b) {
@@ -51,6 +58,33 @@ void AppendJsonField(std::string* out, const char* key, double v,
   if (trailing_comma) *out += ',';
 }
 
+FamilySnapshot CounterFamily(const char* name, const char* help,
+                             const Labels& labels, double value) {
+  FamilySnapshot f;
+  f.name = name;
+  f.help = help;
+  f.type = MetricType::kCounter;
+  f.samples.push_back({"_total", labels, value});
+  return f;
+}
+
+FamilySnapshot GaugeFamily(const char* name, const char* help,
+                           const Labels& labels, double value) {
+  FamilySnapshot f;
+  f.name = name;
+  f.help = help;
+  f.type = MetricType::kGauge;
+  f.samples.push_back({"", labels, value});
+  return f;
+}
+
+Labels WithLabel(const Labels& labels, const char* key, const char* value) {
+  Labels out = labels;
+  out.emplace_back(key, value);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 }  // namespace
 
 const char* StageName(Stage s) {
@@ -71,8 +105,6 @@ const char* StageName(Stage s) {
   return "?";
 }
 
-Metrics::Metrics() { Reset(); }
-
 void LocalMetrics::Record(Stage stage, uint64_t ns) {
   const size_t s = static_cast<size_t>(stage);
   const size_t b = std::bit_width(ns);  // 0 -> bucket 0, else floor(log2)+1
@@ -81,94 +113,49 @@ void LocalMetrics::Record(Stage stage, uint64_t ns) {
   if (ns > stage_max_ns[s]) stage_max_ns[s] = ns;
 }
 
-void Metrics::Merge(const LocalMetrics& local) {
-  if (local.analyzed != 0) analyzed_.fetch_add(local.analyzed, kRelaxed);
-  if (local.parse_failures != 0) {
-    parse_failures_.fetch_add(local.parse_failures, kRelaxed);
-  }
-  if (local.hits != 0) hits_.fetch_add(local.hits, kRelaxed);
-  if (local.misses != 0) misses_.fetch_add(local.misses, kRelaxed);
-  for (size_t c = 0; c < kNumErrorClasses; ++c) {
-    if (local.errors[c] != 0) errors_[c].fetch_add(local.errors[c], kRelaxed);
-  }
+void LocalMetrics::Add(const LocalMetrics& other) {
+  entries += other.entries;
+  analyzed += other.analyzed;
+  parse_failures += other.parse_failures;
+  hits += other.hits;
+  misses += other.misses;
+  evictions += other.evictions;
+  wall_ns += other.wall_ns;
+  for (size_t c = 0; c < kNumErrorClasses; ++c) errors[c] += other.errors[c];
   for (size_t s = 0; s < kNumStages; ++s) {
-    if (local.stage_total_ns[s] != 0) {
-      stage_total_ns_[s].fetch_add(local.stage_total_ns[s], kRelaxed);
-    }
-    const uint64_t local_max = local.stage_max_ns[s];
-    if (local_max != 0) {
-      uint64_t cur = stage_max_ns_[s].load(kRelaxed);
-      while (local_max > cur && !stage_max_ns_[s].compare_exchange_weak(
-                                    cur, local_max, kRelaxed)) {
-      }
-    }
-    for (size_t b = 0; b < kBuckets; ++b) {
-      if (local.histogram[s][b] != 0) {
-        histogram_[s][b].fetch_add(local.histogram[s][b], kRelaxed);
-      }
+    stage_total_ns[s] += other.stage_total_ns[s];
+    stage_max_ns[s] = std::max(stage_max_ns[s], other.stage_max_ns[s]);
+    for (size_t b = 0; b < kLatencyBuckets; ++b) {
+      histogram[s][b] += other.histogram[s][b];
     }
   }
 }
 
-void Metrics::Record(Stage stage, uint64_t ns) {
-  const size_t s = static_cast<size_t>(stage);
-  const size_t b = std::bit_width(ns);  // 0 -> bucket 0, else floor(log2)+1
-  histogram_[s][b < kBuckets ? b : kBuckets - 1].fetch_add(1, kRelaxed);
-  stage_total_ns_[s].fetch_add(ns, kRelaxed);
-  // CAS-max: the snapshot's max_ns is the exact observed maximum, not
-  // the upper edge of a histogram bucket.
-  uint64_t cur = stage_max_ns_[s].load(kRelaxed);
-  while (ns > cur &&
-         !stage_max_ns_[s].compare_exchange_weak(cur, ns, kRelaxed)) {
-  }
-}
-
-MetricsSnapshot Metrics::Snapshot() const {
+MetricsSnapshot Summarize(const LocalMetrics& totals) {
   MetricsSnapshot snap;
-  snap.entries_processed = entries_.load(kRelaxed);
-  snap.queries_analyzed = analyzed_.load(kRelaxed);
-  snap.parse_failures = parse_failures_.load(kRelaxed);
-  for (size_t c = 0; c < kNumErrorClasses; ++c) {
-    snap.errors[c] = errors_[c].load(kRelaxed);
-  }
-  snap.cache_hits = hits_.load(kRelaxed);
-  snap.cache_misses = misses_.load(kRelaxed);
-  snap.cache_evictions = evictions_.load(kRelaxed);
-  snap.wall_ns = wall_ns_.load(kRelaxed);
+  snap.entries_processed = totals.entries;
+  snap.queries_analyzed = totals.analyzed;
+  snap.parse_failures = totals.parse_failures;
+  snap.errors = totals.errors;
+  snap.cache_hits = totals.hits;
+  snap.cache_misses = totals.misses;
+  snap.cache_evictions = totals.evictions;
+  snap.wall_ns = totals.wall_ns;
   for (size_t s = 0; s < kNumStages; ++s) {
-    std::array<uint64_t, kBuckets> buckets{};
+    const auto& buckets = totals.histogram[s];
     uint64_t count = 0;
-    for (size_t b = 0; b < kBuckets; ++b) {
-      buckets[b] = histogram_[s][b].load(kRelaxed);
-      count += buckets[b];
-    }
+    for (const uint64_t n : buckets) count += n;
     StageStats& st = snap.stages[s];
     st.count = count;
-    st.total_ns = stage_total_ns_[s].load(kRelaxed);
+    st.total_ns = totals.stage_total_ns[s];
     st.mean_ns = count == 0 ? 0.0 : static_cast<double>(st.total_ns) / count;
     st.p50_ns = Quantile(buckets, count, 0.50);
     st.p90_ns = Quantile(buckets, count, 0.90);
     st.p99_ns = Quantile(buckets, count, 0.99);
-    st.max_ns = stage_max_ns_[s].load(kRelaxed);
+    st.max_ns = totals.stage_max_ns[s];
     st.buckets = buckets;
   }
   return snap;
-}
-
-void Metrics::Reset() {
-  entries_.store(0, kRelaxed);
-  analyzed_.store(0, kRelaxed);
-  parse_failures_.store(0, kRelaxed);
-  for (auto& e : errors_) e.store(0, kRelaxed);
-  hits_.store(0, kRelaxed);
-  misses_.store(0, kRelaxed);
-  evictions_.store(0, kRelaxed);
-  wall_ns_.store(0, kRelaxed);
-  for (auto& stage : histogram_) {
-    for (auto& bucket : stage) bucket.store(0, kRelaxed);
-  }
-  for (auto& total : stage_total_ns_) total.store(0, kRelaxed);
-  for (auto& mx : stage_max_ns_) mx.store(0, kRelaxed);
 }
 
 std::string MetricsSnapshot::ToText() const {
@@ -280,6 +267,116 @@ std::string MetricsSnapshot::ToJson() const {
   }
   out += "}}";
   return out;
+}
+
+void AppendEngineFamilies(const MetricsSnapshot& snap, uint64_t queue_depth,
+                          const Labels& labels,
+                          std::vector<FamilySnapshot>* out) {
+  out->push_back(CounterFamily("rwdt_engine_entries",
+                               "Log entries streamed through the engine.",
+                               labels,
+                               static_cast<double>(snap.entries_processed)));
+  out->push_back(CounterFamily(
+      "rwdt_engine_queries_analyzed",
+      "Full parse+analyze executions of valid texts.", labels,
+      static_cast<double>(snap.queries_analyzed)));
+  out->push_back(CounterFamily("rwdt_engine_parse_failures",
+                               "Distinct query texts that failed to parse.",
+                               labels,
+                               static_cast<double>(snap.parse_failures)));
+  out->push_back(CounterFamily(
+      "rwdt_engine_wall_seconds",
+      "Cumulative wall time inside AnalyzeEntries/Feed.", labels,
+      static_cast<double>(snap.wall_ns) / 1e9));
+
+  {
+    FamilySnapshot errors;
+    errors.name = "rwdt_engine_errors";
+    errors.help = "Rejected entries by taxonomy class.";
+    errors.type = MetricType::kCounter;
+    for (size_t c = 0; c < kNumErrorClasses; ++c) {
+      errors.samples.push_back(
+          {"_total",
+           WithLabel(labels, "class",
+                     ErrorClassName(static_cast<ErrorClass>(c))),
+           static_cast<double>(snap.errors[c])});
+    }
+    out->push_back(std::move(errors));
+  }
+
+  out->push_back(CounterFamily("rwdt_engine_cache_hits",
+                               "First-in-stream texts served from the memo.",
+                               labels,
+                               static_cast<double>(snap.cache_hits)));
+  out->push_back(CounterFamily("rwdt_engine_cache_misses",
+                               "Texts parsed and analyzed.", labels,
+                               static_cast<double>(snap.cache_misses)));
+  out->push_back(CounterFamily("rwdt_engine_cache_evictions",
+                               "Texts dropped by a memo bound reset.",
+                               labels,
+                               static_cast<double>(snap.cache_evictions)));
+  out->push_back(GaugeFamily("rwdt_engine_cache_size",
+                             "Texts the engine's memos retain.", labels,
+                             static_cast<double>(snap.cache_size)));
+  out->push_back(GaugeFamily(
+      "rwdt_engine_cache_hit_ratio", "Memo hit ratio in [0,1].",
+      labels, snap.CacheHitRate()));
+  out->push_back(GaugeFamily("rwdt_engine_threads", "Engine worker threads.",
+                             labels, static_cast<double>(snap.threads)));
+  out->push_back(GaugeFamily(
+      "rwdt_engine_interner_bytes",
+      "Bytes reserved by the memos' dedup interners and parse "
+      "dictionaries.",
+      labels, static_cast<double>(snap.interner_bytes)));
+  out->push_back(GaugeFamily(
+      "rwdt_engine_dedup_entries",
+      "Distinct query texts the memos retain.",
+      labels, static_cast<double>(snap.dedup_entries)));
+  out->push_back(GaugeFamily(
+      "rwdt_engine_queue_depth",
+      "Shard tasks queued or running on the engine's thread pool.", labels,
+      static_cast<double>(queue_depth)));
+
+  // Stage latency histograms. The engine's power-of-two buckets map onto
+  // exact inclusive `le` bounds: bucket b counts samples with
+  // bit_width(ns) == b, i.e. ns in [2^(b-1), 2^b - 1], so le = 2^b - 1
+  // (bucket 0 is ns == 0 -> le = 0). The empty tail above the highest
+  // non-empty bucket of any stage is collapsed into +Inf to keep the
+  // exposition compact; cumulativity is unaffected.
+  size_t max_bucket = 0;
+  for (size_t s = 0; s < kNumStages; ++s) {
+    for (size_t b = 0; b < kLatencyBuckets; ++b) {
+      if (snap.stages[s].buckets[b] != 0) max_bucket = std::max(max_bucket, b);
+    }
+  }
+  std::vector<double> bounds;
+  bounds.reserve(max_bucket + 1);
+  for (size_t b = 0; b <= max_bucket; ++b) {
+    bounds.push_back(b == 0 ? 0.0
+                            : static_cast<double>((uint64_t{1} << b) - 1));
+  }
+  FamilySnapshot latency;
+  latency.name = "rwdt_engine_stage_latency_ns";
+  latency.help = "Per-stage pipeline latency in nanoseconds.";
+  latency.type = MetricType::kHistogram;
+  for (size_t s = 0; s < kNumStages; ++s) {
+    const StageStats& st = snap.stages[s];
+    if (st.count == 0) continue;
+    obs::AppendHistogramSamples(
+        bounds,
+        [&](size_t i) {
+          if (i < bounds.size()) return st.buckets[i];
+          uint64_t tail = 0;  // anything past the collapsed range
+          for (size_t b = bounds.size(); b < kLatencyBuckets; ++b) {
+            tail += st.buckets[b];
+          }
+          return tail;
+        },
+        static_cast<double>(st.total_ns),
+        WithLabel(labels, "stage", StageName(static_cast<Stage>(s))),
+        &latency.samples);
+  }
+  out->push_back(std::move(latency));
 }
 
 }  // namespace rwdt::engine

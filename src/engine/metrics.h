@@ -2,12 +2,13 @@
 #define RWDT_ENGINE_METRICS_H_
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
+#include "obs/registry.h"
 
 namespace rwdt::engine {
 
@@ -29,34 +30,40 @@ inline constexpr size_t kLatencyBuckets = 64;
 
 const char* StageName(Stage s);
 
-/// Per-worker metric slab for the engine's contention-free hot path.
+/// The engine's counter store: one plain (non-atomic) slab type used
+/// both per worker and for the engine's totals.
 ///
-/// Plain (non-atomic) counters owned by exactly one worker at a time and
-/// folded into the shared `Metrics` via `Metrics::Merge` when the worker
-/// finishes its shard task — i.e. before `EngineStream::Feed` returns.
-/// On the per-query path workers therefore touch no shared cache line at
-/// all; the ~20 shared atomic RMWs per analyzed query this replaces were
-/// the single largest scaling bottleneck in the engine (parse stage
-/// totals inflated 4x at 4 threads purely from counter ping-pong).
+/// Each shard task fills a stack-resident slab and adds it into
+/// `Engine`'s totals under one mutex when the task ends, before
+/// `EngineStream::Feed` returns, so the per-query path touches no shared
+/// cache line (shared atomic RMWs per query once inflated parse totals
+/// 4x at 4 threads). `entries`, `evictions` and `wall_ns` are set only by
+/// the feeding thread, directly on the totals.
 ///
 /// Layout constraint: alignas(64) so a slab never shares a cache line
 /// with a neighbor when slabs are stored contiguously (false sharing
 /// would silently reintroduce the contention this type exists to kill).
 struct alignas(64) LocalMetrics {
+  uint64_t entries = 0;  // log entries streamed through
   uint64_t analyzed = 0;
   uint64_t parse_failures = 0;
-  uint64_t hits = 0;    // first-in-stream texts served from the memo
-  uint64_t misses = 0;  // texts parsed and analyzed (analyzed + failures)
+  uint64_t hits = 0;       // first-in-stream texts served from the memo
+  uint64_t misses = 0;     // texts parsed and analyzed (analyzed + failures)
+  uint64_t evictions = 0;  // texts dropped by a memo bound reset
+  uint64_t wall_ns = 0;    // cumulative wall time inside Feed
   std::array<uint64_t, kNumErrorClasses> errors{};
   std::array<uint64_t, kNumStages> stage_total_ns{};
   std::array<uint64_t, kNumStages> stage_max_ns{};
   std::array<std::array<uint64_t, kLatencyBuckets>, kNumStages> histogram{};
 
-  /// Records one latency sample for a stage (same bucketing as Metrics).
+  /// Records one latency sample for a stage: bucket bit_width(ns), the
+  /// stage total, and the exact maximum.
   void Record(Stage stage, uint64_t ns);
   void AddError(ErrorClass c, uint64_t n = 1) {
     errors[static_cast<size_t>(c)] += n;
   }
+  /// Adds every counter of `other` into this slab (maxima take the max).
+  void Add(const LocalMetrics& other);
 };
 
 /// Summary of one stage's latency histogram. Percentiles are
@@ -69,11 +76,11 @@ struct StageStats {
   uint64_t p50_ns = 0;
   uint64_t p90_ns = 0;
   uint64_t p99_ns = 0;
-  /// Exact observed maximum (tracked by an atomic CAS-max per sample,
-  /// not reconstructed from the histogram buckets).
+  /// Exact observed maximum (tracked per sample, not reconstructed
+  /// from the histogram buckets).
   uint64_t max_ns = 0;
   /// Raw (non-cumulative) bucket counts: bucket b holds samples with
-  /// ns in [2^(b-1), 2^b). Carried so the OpenMetrics bridge can expose
+  /// ns in [2^(b-1), 2^b). Carried so AppendEngineFamilies can expose
   /// real histogram series; ToText/ToJson ignore it (formats unchanged).
   std::array<uint64_t, kLatencyBuckets> buckets{};
 };
@@ -127,53 +134,28 @@ struct MetricsSnapshot {
   std::string ToJson() const;
 };
 
-/// Thread-safe metric registry: lock-free relaxed atomics throughout, so
-/// workers on the hot path pay one uncontended cache-line RMW per event.
-/// Latencies go into per-stage power-of-two bucket histograms.
-class Metrics {
- public:
-  Metrics();
+/// Summarizes a counter slab: per-stage quantiles from the buckets, the
+/// exact max, and the raw buckets. `threads`, `cache_size` and the
+/// occupancy gauges are left at their defaults; the engine overlays them.
+MetricsSnapshot Summarize(const LocalMetrics& totals);
 
-  void AddEntries(uint64_t n) { entries_.fetch_add(n, kRelaxed); }
-  /// Counts one rejected entry under its taxonomy class.
-  void AddError(ErrorClass c, uint64_t n = 1) {
-    errors_[static_cast<size_t>(c)].fetch_add(n, kRelaxed);
-  }
-  void AddEvictions(uint64_t n) { evictions_.fetch_add(n, kRelaxed); }
-  void AddWallNs(uint64_t ns) { wall_ns_.fetch_add(ns, kRelaxed); }
-
-  /// Records one latency sample for a stage.
-  void Record(Stage stage, uint64_t ns);
-
-  /// Folds one worker's LocalMetrics slab into the shared counters.
-  /// Called off the per-query path (once per shard task), so the atomic
-  /// cost is amortized over the whole chunk. Zero histogram buckets are
-  /// skipped — a merge is ~tens of RMWs, not kNumStages*kLatencyBuckets.
-  void Merge(const LocalMetrics& local);
-
-  /// Copies counters into a snapshot (cache_size and the occupancy
-  /// gauges are left zero; the engine overlays its memos' footprint).
-  MetricsSnapshot Snapshot() const;
-
-  void Reset();
-
- private:
-  static constexpr std::memory_order kRelaxed = std::memory_order_relaxed;
-  static constexpr size_t kBuckets = kLatencyBuckets;
-
-  std::atomic<uint64_t> entries_;
-  std::atomic<uint64_t> analyzed_;
-  std::atomic<uint64_t> parse_failures_;
-  std::array<std::atomic<uint64_t>, kNumErrorClasses> errors_;
-  std::atomic<uint64_t> hits_;
-  std::atomic<uint64_t> misses_;
-  std::atomic<uint64_t> evictions_;
-  std::atomic<uint64_t> wall_ns_;
-  std::array<std::array<std::atomic<uint64_t>, kBuckets>, kNumStages>
-      histogram_;
-  std::array<std::atomic<uint64_t>, kNumStages> stage_total_ns_;
-  std::array<std::atomic<uint64_t>, kNumStages> stage_max_ns_;
-};
+/// Appends the scrape-time `rwdt_engine_*` registry families for one
+/// snapshot:
+///
+///   rwdt_engine_entries_total / queries_analyzed_total /
+///   parse_failures_total / wall_seconds_total        counters
+///   rwdt_engine_errors_total{class="parse_error"}    counter per class
+///   rwdt_engine_cache_{hits,misses,evictions}_total  counters
+///   rwdt_engine_cache_size / cache_hit_ratio /
+///   threads / interner_bytes / dedup_entries /
+///   queue_depth                                      gauges
+///   rwdt_engine_stage_latency_ns{stage="parse"}      histograms
+///
+/// `labels` (the engine's {{"engine","<ordinal>"}}) are stamped on every
+/// sample so several live engines expose disjoint series.
+void AppendEngineFamilies(const MetricsSnapshot& snap, uint64_t queue_depth,
+                          const obs::Labels& labels,
+                          std::vector<obs::FamilySnapshot>* out);
 
 }  // namespace rwdt::engine
 

@@ -5,13 +5,14 @@
 //   * log.h      — RWDT_LOG leveled structured logging with pluggable
 //                  sinks (stderr text, JSON-lines file).
 //   * progress.h — background-thread live run reporting over
-//                  engine::Metrics, plus the final JSON run report.
+//                  engine::MetricsSnapshot, plus the final JSON run
+//                  report.
 //   * registry.h — process-wide MetricRegistry of named counters,
-//                  gauges, and histograms (relaxed-atomic hot path).
+//                  gauges, and histograms (relaxed-atomic hot path),
+//                  plus scrape-time collectors such as the engine's
+//                  rwdt_engine_* families (engine/metrics.h).
 //   * openmetrics.h — OpenMetrics/Prometheus text exposition of
 //                  registry family snapshots.
-//   * engine_bridge.h — pull-model adapter from engine::MetricsSnapshot
-//                  into registry families (rwdt_engine_*).
 //   * admin_server.h — embedded blocking HTTP/1.1 admin server serving
 //                  /metrics, /healthz, /readyz, /statusz, /tracez,
 //                  /profilez.
@@ -31,7 +32,6 @@
 #define RWDT_OBS_OBS_H_
 
 #include "obs/admin_server.h"
-#include "obs/engine_bridge.h"
 #include "obs/log.h"
 #include "obs/openmetrics.h"
 #include "obs/proc_stats.h"

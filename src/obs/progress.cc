@@ -7,7 +7,6 @@
 
 #include "common/json.h"
 #include "common/table.h"
-#include "obs/engine_bridge.h"
 #include "obs/log.h"
 #include "obs/trace.h"
 
@@ -19,6 +18,11 @@ Status ProgressOptions::Validate() const {
     return Status::InvalidArgument("progress interval_ms must be <= 1 hour");
   }
   return Status::Ok();
+}
+
+double DeltaRate(uint64_t prev, uint64_t now, double interval_s) {
+  if (interval_s <= 0 || now < prev) return 0.0;
+  return static_cast<double>(now - prev) / interval_s;
 }
 
 ProgressReporter::ProgressReporter(SnapshotFn snapshot,
@@ -48,17 +52,17 @@ void ProgressReporter::Loop() {
 }
 
 void ProgressReporter::EmitProgressLine(const engine::MetricsSnapshot& snap) {
-  // Same derivation the registry bridge uses for its gauges, so the
-  // tick log and a concurrent /metrics scrape can never disagree on
-  // what "entries/sec" or "cache hit rate" means.
-  const EngineTick tick = ComputeEngineTick(
-      snap, last_entries_, options_.interval_ms / 1000.0);
-  last_entries_ = tick.entries;
-  RWDT_LOG(INFO) << options_.label << ": " << tick.entries << " entries (+"
-                 << static_cast<uint64_t>(tick.entries_per_sec) << "/s), "
-                 << tick.analyzed << " analyzed, cache hit "
-                 << static_cast<int>(100.0 * tick.cache_hit_rate + 0.5)
-                 << "%, " << tick.rejects << " rejects";
+  const uint64_t entries = snap.entries_processed;
+  const double per_sec =
+      DeltaRate(last_entries_, entries, options_.interval_ms / 1000.0);
+  last_entries_ = entries;
+  // The hit rate is MetricsSnapshot::CacheHitRate(), the value the
+  // rwdt_engine_cache_hit_ratio gauge exposes.
+  RWDT_LOG(INFO) << options_.label << ": " << entries << " entries (+"
+                 << static_cast<uint64_t>(per_sec) << "/s), "
+                 << snap.queries_analyzed << " analyzed, cache hit "
+                 << static_cast<int>(100.0 * snap.CacheHitRate() + 0.5)
+                 << "%, " << snap.TotalErrors() << " rejects";
 }
 
 void ProgressReporter::Stop() {

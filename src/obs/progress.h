@@ -39,6 +39,11 @@ struct ProgressOptions {
   Status Validate() const;
 };
 
+/// Per-second rate of a counter that went from `prev` to `now` over
+/// `interval_s` seconds. 0 for a non-positive interval or a counter that
+/// went backwards, so a progress line never divides by zero.
+double DeltaRate(uint64_t prev, uint64_t now, double interval_s);
+
 /// Snapshots engine metrics on a background thread every `interval_ms`,
 /// logging one progress line per tick, and renders a final JSON run
 /// report on Stop. The snapshot callback must be safe to call from

@@ -506,12 +506,13 @@ bool HttpServer::ServeOneRequest(int fd, std::string* buf, size_t head_end,
       served_on_connection + 1 >= options_.max_requests_per_connection;
 
   const HttpResponse response = Dispatch(request);
-  const bool sent = SendAll(fd, RenderResponse(response, close_after));
+  // Counted before the send, as on the 413 path: a client that has read
+  // its reply must already see the request in requests_served().
   {
     std::lock_guard<std::mutex> lock(mu_);
     requests_served_++;
   }
-  return sent && !close_after;
+  return SendAll(fd, RenderResponse(response, close_after)) && !close_after;
 }
 
 HttpResponse HttpServer::Dispatch(const HttpRequest& request) {

@@ -3,7 +3,10 @@
 #include <memory>
 #include <span>
 #include <sstream>
+#include <string>
 #include <string_view>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +19,8 @@
 #include "ingest/ingest.h"
 #include "loggen/corruptor.h"
 #include "loggen/log_text.h"
+#include "obs/openmetrics.h"
+#include "obs/registry.h"
 
 namespace rwdt::engine {
 namespace {
@@ -351,6 +356,112 @@ core::LogAggregates RandomAggregates(Rng* rng) {
   return a;
 }
 
+// The lines of an OpenMetrics text that carry `label`, in order.
+std::string LinesWith(const std::string& text, const std::string& label) {
+  std::istringstream in(text);
+  std::string out;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find(label) != std::string::npos) out += line + "\n";
+  }
+  return out;
+}
+
+// Value of the sample line that starts with `series` (name plus label
+// set), or 0 when the series is absent (an empty stage histogram).
+double ScrapedValue(const std::string& text, const std::string& series) {
+  const std::string key = "\n" + series + " ";
+  const size_t at = text.find(key);
+  return at == std::string::npos ? 0.0
+                                 : std::stod(text.substr(at + key.size()));
+}
+
+TEST(EngineTest, RegistrySeriesLiveWithEngineAndScrapesNeverGoBack) {
+  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
+  std::string label;
+  {
+    EngineOptions opts;
+    opts.threads = 4;
+    Engine engine(opts);
+    label = "engine=\"" + std::to_string(engine.ordinal()) + "\"";
+    EXPECT_NE(registry.RenderOpenMetrics().find("rwdt_engine_threads{" +
+                                                label + "} 4\n"),
+              std::string::npos);
+
+    // Counters that may only grow, read from Snapshot() and from the
+    // rendered scrape.
+    auto snapshot_counters = [](const MetricsSnapshot& snap) {
+      std::vector<double> v = {static_cast<double>(snap.entries_processed),
+                               static_cast<double>(snap.queries_analyzed)};
+      for (const StageStats& st : snap.stages) {
+        v.push_back(static_cast<double>(st.count));
+      }
+      return v;
+    };
+    auto scraped_counters = [&label](const std::string& text) {
+      std::vector<double> v = {
+          ScrapedValue(text, "rwdt_engine_entries_total{" + label + "}"),
+          ScrapedValue(text,
+                       "rwdt_engine_queries_analyzed_total{" + label + "}")};
+      for (size_t s = 0; s < kNumStages; ++s) {
+        v.push_back(ScrapedValue(
+            text, "rwdt_engine_stage_latency_ns_count{" + label +
+                      ",stage=\"" + StageName(static_cast<Stage>(s)) +
+                      "\"}"));
+      }
+      return v;
+    };
+    auto never_less = [](const std::vector<double>& prev,
+                         const std::vector<double>& cur) {
+      for (size_t i = 0; i < prev.size(); ++i) {
+        if (cur[i] < prev[i]) return false;
+      }
+      return true;
+    };
+
+    std::atomic<bool> done{false};
+    bool monotone = true;
+    size_t scrapes = 0;
+    std::string last_scrape;
+    std::thread scraper([&] {
+      std::vector<double> prev_snap(2 + kNumStages, 0.0);
+      std::vector<double> prev_scrape(2 + kNumStages, 0.0);
+      while (!done.load(std::memory_order_acquire)) {
+        const std::vector<double> snap = snapshot_counters(engine.Snapshot());
+        last_scrape = registry.RenderOpenMetrics();
+        const std::vector<double> scrape = scraped_counters(last_scrape);
+        monotone = monotone && never_less(prev_snap, snap) &&
+                   never_less(prev_scrape, scrape);
+        prev_snap = snap;
+        prev_scrape = scrape;
+        ++scrapes;
+      }
+    });
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      engine.AnalyzeLog(loggen::ExampleProfile(4000), seed);
+    }
+    done.store(true, std::memory_order_release);
+    scraper.join();
+    EXPECT_TRUE(monotone);
+    EXPECT_GT(scrapes, 0u);
+
+    // Quiesced, a scrape renders exactly the final Snapshot().
+    const MetricsSnapshot final_snap = engine.Snapshot();
+    last_scrape = registry.RenderOpenMetrics();
+    std::vector<obs::FamilySnapshot> families;
+    AppendEngineFamilies(final_snap, /*queue_depth=*/0,
+                         {{"engine", std::to_string(engine.ordinal())}},
+                         &families);
+    EXPECT_EQ(LinesWith(last_scrape, label),
+              LinesWith(obs::WriteOpenMetrics(
+                            obs::MergeFamilies(std::move(families))),
+                        label));
+    EXPECT_EQ(scraped_counters(last_scrape), snapshot_counters(final_snap));
+    EXPECT_GT(final_snap.entries_processed, 0u);
+  }
+  // Destroying the engine removes its collector and every series with it.
+  EXPECT_EQ(registry.RenderOpenMetrics().find(label), std::string::npos);
+}
+
 TEST(EngineTest, MergeIsCommutative) {
   Rng rng(2022);
   for (int trial = 0; trial < 20; ++trial) {
@@ -408,12 +519,12 @@ TEST(ThreadPoolTest, RunsAllTasks) {
 }
 
 TEST(MetricsTest, SnapshotSummarizesHistogram) {
-  Metrics metrics;
+  LocalMetrics metrics;
   for (int i = 0; i < 1000; ++i) {
     metrics.Record(Stage::kParse, 1000);  // 1 us
   }
   metrics.Record(Stage::kParse, 1 << 20);  // one ~1 ms outlier
-  const MetricsSnapshot snap = metrics.Snapshot();
+  const MetricsSnapshot snap = Summarize(metrics);
   const StageStats& parse =
       snap.stages[static_cast<size_t>(Stage::kParse)];
   EXPECT_EQ(parse.count, 1001u);
@@ -426,16 +537,26 @@ TEST(MetricsTest, SnapshotSummarizesHistogram) {
 }
 
 TEST(MetricsTest, MaxIsExactNotBucketEdge) {
-  // max_ns must be the exact observed maximum (CAS-max), not the upper
-  // edge of the power-of-two histogram bucket (which would be 4096 for
-  // a 3000 ns sample).
-  Metrics metrics;
+  // max_ns must be the exact observed maximum, not the upper edge of
+  // the power-of-two histogram bucket (which would be 4096 for a
+  // 3000 ns sample).
+  LocalMetrics metrics;
   metrics.Record(Stage::kParse, 1000);
   metrics.Record(Stage::kParse, 3000);
   metrics.Record(Stage::kParse, 2000);
-  const MetricsSnapshot snap = metrics.Snapshot();
+  const MetricsSnapshot snap = Summarize(metrics);
   EXPECT_EQ(snap.stages[static_cast<size_t>(Stage::kParse)].max_ns, 3000u);
   EXPECT_NE(snap.ToJson().find("\"max_us\""), std::string::npos);
+  // Adding slabs keeps the exact max, as the engine's per-task merge does.
+  LocalMetrics totals;
+  LocalMetrics small;
+  small.Record(Stage::kParse, 10);
+  totals.Add(small);
+  totals.Add(metrics);
+  EXPECT_EQ(Summarize(totals).stages[static_cast<size_t>(Stage::kParse)].max_ns,
+            3000u);
+  EXPECT_EQ(Summarize(totals).stages[static_cast<size_t>(Stage::kParse)].count,
+            4u);
 }
 
 TEST(MetricsTest, JsonContainsHeadlineFields) {

@@ -1,5 +1,5 @@
 // Tests for the obs metric registry, the OpenMetrics exposition writer,
-// and the engine -> registry bridge.
+// and the engine's scrape-time rwdt_engine_* families.
 
 #include <cstdint>
 #include <limits>
@@ -11,7 +11,6 @@
 
 #include "engine/engine.h"
 #include "engine/metrics.h"
-#include "obs/engine_bridge.h"
 #include "obs/log.h"
 #include "obs/openmetrics.h"
 #include "obs/registry.h"
@@ -250,7 +249,7 @@ TEST(OpenMetricsTest, CollectorRunsAtScrapeAndScopedRemoval) {
   EXPECT_EQ(calls, 1);  // removed with the handle
 }
 
-TEST(BridgeTest, FamiliesAgreeWithSnapshot) {
+TEST(EngineFamiliesTest, FamiliesAgreeWithSnapshot) {
   engine::MetricsSnapshot snap;
   snap.entries_processed = 1000;
   snap.queries_analyzed = 600;
@@ -268,7 +267,8 @@ TEST(BridgeTest, FamiliesAgreeWithSnapshot) {
   parse.buckets[4] = 1;  // 8-15 ns
 
   std::vector<FamilySnapshot> families;
-  AppendEngineFamilies(snap, /*queue_depth=*/5, {{"engine", "0"}}, &families);
+  engine::AppendEngineFamilies(snap, /*queue_depth=*/5, {{"engine", "0"}},
+                               &families);
   const std::string text = WriteOpenMetrics(MergeFamilies(std::move(families)));
 
   EXPECT_NE(text.find("rwdt_engine_entries_total{engine=\"0\"} 1000\n"),
@@ -312,47 +312,32 @@ TEST(BridgeTest, FamiliesAgreeWithSnapshot) {
             std::string::npos);
 }
 
-TEST(BridgeTest, ComputeEngineTickRates) {
-  engine::MetricsSnapshot snap;
-  snap.entries_processed = 1500;
-  snap.cache_hits = 75;
-  snap.cache_misses = 25;
-  const EngineTick tick = ComputeEngineTick(snap, /*prev_entries=*/500,
-                                            /*interval_s=*/2.0);
-  EXPECT_EQ(tick.entries, 1500u);
-  EXPECT_DOUBLE_EQ(tick.entries_per_sec, 500.0);
-  EXPECT_DOUBLE_EQ(tick.cache_hit_rate, 0.75);
-  // Degenerate interval never divides by zero.
-  EXPECT_DOUBLE_EQ(ComputeEngineTick(snap, 0, 0).entries_per_sec, 0.0);
-}
-
-TEST(BridgeTest, LiveEngineScrapeAgreesWithSnapshot) {
+TEST(EngineFamiliesTest, LiveEngineScrapeAgreesWithSnapshot) {
   engine::EngineOptions opts;
   opts.threads = 2;
   engine::Engine eng(opts);
-
-  MetricRegistry registry;
-  ScopedCollector handle =
-      RegisterEngineMetrics(&registry, &eng, {{"engine", "t"}});
+  // The engine registers its own collector on the global registry.
+  const std::string label =
+      "{engine=\"" + std::to_string(eng.ordinal()) + "\"}";
 
   loggen::SourceProfile profile = loggen::ExampleProfile(2000);
-  profile.name = "bridge-test";
+  profile.name = "scrape-test";
   eng.AnalyzeLog(profile, 7);
 
   const engine::MetricsSnapshot snap = eng.Snapshot();
-  const std::string text = registry.RenderOpenMetrics();
+  const std::string text = MetricRegistry::Global().RenderOpenMetrics();
   auto expect_line = [&](const std::string& line) {
     EXPECT_NE(text.find(line), std::string::npos)
         << "missing: " << line << "\nin:\n"
         << text;
   };
-  expect_line("rwdt_engine_entries_total{engine=\"t\"} " +
+  expect_line("rwdt_engine_entries_total" + label + " " +
               std::to_string(snap.entries_processed) + "\n");
-  expect_line("rwdt_engine_queries_analyzed_total{engine=\"t\"} " +
+  expect_line("rwdt_engine_queries_analyzed_total" + label + " " +
               std::to_string(snap.queries_analyzed) + "\n");
-  expect_line("rwdt_engine_cache_hits_total{engine=\"t\"} " +
+  expect_line("rwdt_engine_cache_hits_total" + label + " " +
               std::to_string(snap.cache_hits) + "\n");
-  expect_line("rwdt_engine_threads{engine=\"t\"} 2\n");
+  expect_line("rwdt_engine_threads" + label + " 2\n");
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -567,13 +568,14 @@ TEST(LogTest, JsonLinesSinkEmitsParseableRecords) {
 // ProgressReporter
 
 TEST(ProgressTest, TicksAndRunReportMatchFinalSnapshot) {
-  engine::Metrics metrics;
-  metrics.AddEntries(123);
-  engine::LocalMetrics local;
-  local.analyzed = 45;
-  local.hits = 10;
-  local.misses = 5;
-  metrics.Merge(local);
+  // The reporter reads the slab from its own thread, so the test guards
+  // it the way the engine guards its totals.
+  std::mutex mu;
+  engine::LocalMetrics metrics;
+  metrics.entries = 123;
+  metrics.analyzed = 45;
+  metrics.hits = 10;
+  metrics.misses = 5;
 
   const std::string path = "obs_test_report.json";
   ProgressOptions popts;
@@ -584,11 +586,18 @@ TEST(ProgressTest, TicksAndRunReportMatchFinalSnapshot) {
   ASSERT_TRUE(popts.Validate().ok());
   ASSERT_TRUE(popts.enabled());
 
-  ProgressReporter reporter([&metrics] { return metrics.Snapshot(); },
-                            popts);
+  ProgressReporter reporter(
+      [&] {
+        std::lock_guard<std::mutex> lock(mu);
+        return engine::Summarize(metrics);
+      },
+      popts);
   // Let a few ticks elapse, then bump a counter the report must see.
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  metrics.AddEntries(1);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    metrics.entries += 1;
+  }
   reporter.Stop();
   EXPECT_GE(reporter.ticks(), 1u);
 
@@ -618,6 +627,19 @@ TEST(ProgressTest, TicksAndRunReportMatchFinalSnapshot) {
   EXPECT_EQ(file_contents.str(), reporter.report_json() + "\n");
 }
 
+TEST(ProgressTest, DeltaRateAndHitRate) {
+  EXPECT_DOUBLE_EQ(DeltaRate(/*prev=*/500, /*now=*/1500, /*interval_s=*/2.0),
+                   500.0);
+  // Degenerate intervals never divide by zero.
+  EXPECT_DOUBLE_EQ(DeltaRate(0, 1500, 0.0), 0.0);
+  EXPECT_DOUBLE_EQ(DeltaRate(0, 1500, -1.0), 0.0);
+  // The progress line's hit rate is the snapshot's, as on /metrics.
+  engine::MetricsSnapshot snap;
+  snap.cache_hits = 75;
+  snap.cache_misses = 25;
+  EXPECT_DOUBLE_EQ(snap.CacheHitRate(), 0.75);
+}
+
 TEST(ProgressTest, DisabledByDefault) {
   ProgressOptions popts;
   EXPECT_FALSE(popts.enabled());
@@ -627,9 +649,9 @@ TEST(ProgressTest, DisabledByDefault) {
 }
 
 TEST(ProgressTest, StopIsIdempotentWithoutThread) {
-  engine::Metrics metrics;
+  const engine::LocalMetrics metrics;
   ProgressOptions popts;  // interval 0: no background thread
-  ProgressReporter reporter([&metrics] { return metrics.Snapshot(); },
+  ProgressReporter reporter([&metrics] { return engine::Summarize(metrics); },
                             popts);
   reporter.Stop();
   reporter.Stop();

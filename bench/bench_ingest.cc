@@ -1,11 +1,10 @@
 // Ingest throughput bench (the ISSUE's acceptance scenario): write a
 // large generated log with 20% fault injection to disk as raw text,
-// then stream it back through rwdt::ingest in bounded-memory chunks —
-// once per reader implementation (legacy istream/getline baseline, then
-// the zero-copy block pipeline), each on a fresh engine so neither run
-// warms the other's cache. Reports per-reader throughput, the speedup,
-// the Total-vs-Valid split, and per-class error counts, and writes
-// BENCH_ingest.json for the cross-PR perf trail.
+// then stream it back through rwdt::ingest in bounded-memory chunks on
+// a fresh engine. Reports throughput, the Total-vs-Valid split, and
+// per-class error counts, and writes BENCH_ingest.json for the cross-PR
+// perf trail (its one `runs` entry keeps the `"reader":"block"` tag so
+// the `runs.block.*` trajectory series continues).
 //
 //   $ ./build/bench/bench_ingest [num_lines] [threads]
 //
@@ -28,17 +27,6 @@
 
 #include "rwdt.h"
 #include "study_util.h"
-
-namespace {
-
-struct ReaderRun {
-  rwdt::ingest::IngestReport report;
-  double wall_ms = 0;
-  double queries_per_sec = 0;
-  double bytes_per_sec = 0;
-};
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace rwdt;
@@ -111,49 +99,23 @@ int main(int argc, char** argv) {
   opts.progress.report_path =
       report_env != nullptr ? report_env : "BENCH_ingest_report.json";
 
-  // Legacy first so the block run — whose report the JSON keeps — is
-  // last; each IngestFile builds a fresh engine, so the orders share
-  // nothing but the page cache (which the legacy run warms for both).
-  const ingest::ReaderKind kinds[2] = {ingest::ReaderKind::kLegacy,
-                                       ingest::ReaderKind::kBlock};
-  ReaderRun runs[2];
-  for (int i = 0; i < 2; ++i) {
-    opts.reader = kinds[i];
-    const auto t0 = Clock::now();
-    auto r = ingest::IngestFile(log_path, opts);
-    const double ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - t0)
-            .count();
-    if (!r.ok()) {
-      RWDT_LOG(ERROR) << "ingest (" << ingest::ReaderKindName(kinds[i])
-                      << ") failed: " << r.error_message();
-      std::remove(log_path.c_str());
-      return 1;
-    }
-    runs[i].report = std::move(r).value();
-    runs[i].wall_ms = ms;
-    runs[i].queries_per_sec = runs[i].report.study.total / (ms / 1000.0);
-    runs[i].bytes_per_sec = runs[i].report.bytes_read / (ms / 1000.0);
-    std::printf("ingest[%s]: %.1f ms, %s queries/s, %.1f MiB/s "
-                "(threads=%u%s)\n",
-                ingest::ReaderKindName(kinds[i]), ms,
-                WithThousands(
-                    static_cast<uint64_t>(runs[i].queries_per_sec))
-                    .c_str(),
-                runs[i].bytes_per_sec / (1024.0 * 1024.0), threads,
-                runs[i].report.used_mmap ? ", mmap" : "");
-  }
+  const auto t0 = Clock::now();
+  auto r = ingest::IngestFile(log_path, opts);
+  const double wall_ms =
+      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
   std::remove(log_path.c_str());
-  const double speedup =
-      runs[1].wall_ms > 0 ? runs[0].wall_ms / runs[1].wall_ms : 0;
-  std::printf("speedup block vs legacy: %.2fx\n\n", speedup);
-
-  const ingest::IngestReport& report = runs[1].report;
-  if (report.study != runs[0].report.study) {
-    std::fprintf(stderr,
-                 "FATAL: block and legacy readers disagree on the study\n");
+  if (!r.ok()) {
+    RWDT_LOG(ERROR) << "ingest failed: " << r.error_message();
     return 1;
   }
+  const ingest::IngestReport& report = r.value();
+  const double queries_per_sec = report.study.total / (wall_ms / 1000.0);
+  const double bytes_per_sec = report.bytes_read / (wall_ms / 1000.0);
+  std::printf("ingest: %.1f ms, %s queries/s, %.1f MiB/s (threads=%u%s)\n\n",
+              wall_ms,
+              WithThousands(static_cast<uint64_t>(queries_per_sec)).c_str(),
+              bytes_per_sec / (1024.0 * 1024.0), threads,
+              report.used_mmap ? ", mmap" : "");
 
   AsciiTable table({"Row", "Queries", "Rel"});
   table.AddRow({"Total", WithThousands(report.study.total), "100.0%"});
@@ -184,23 +146,18 @@ int main(int argc, char** argv) {
                bench::ProvenanceJson().c_str(),
                static_cast<unsigned long long>(summary.corrupted),
                threads);
-  for (int i = 0; i < 2; ++i) {
-    std::fprintf(
-        out,
-        "%s{\"reader\":\"%s\",\"wall_ms\":%.3f,\"queries_per_sec\":%.0f,"
-        "\"bytes_per_sec\":%.0f,\"used_mmap\":%s,\"blocks_read\":%llu,"
-        "\"carry_stitches\":%llu}",
-        i == 0 ? "" : ",", ingest::ReaderKindName(kinds[i]),
-        runs[i].wall_ms, runs[i].queries_per_sec, runs[i].bytes_per_sec,
-        runs[i].report.used_mmap ? "true" : "false",
-        static_cast<unsigned long long>(runs[i].report.blocks_read),
-        static_cast<unsigned long long>(runs[i].report.carry_stitches));
-  }
+  std::fprintf(
+      out,
+      "{\"reader\":\"block\",\"wall_ms\":%.3f,\"queries_per_sec\":%.0f,"
+      "\"bytes_per_sec\":%.0f,\"used_mmap\":%s,\"blocks_read\":%llu,"
+      "\"carry_stitches\":%llu}",
+      wall_ms, queries_per_sec, bytes_per_sec,
+      report.used_mmap ? "true" : "false",
+      static_cast<unsigned long long>(report.blocks_read),
+      static_cast<unsigned long long>(report.carry_stitches));
   std::fprintf(out,
-               "],\"speedup_block_vs_legacy\":%.3f,"
-               "\"wall_ms\":%.3f,\"lines_per_sec\":%.0f,\"report\":%s}\n",
-               speedup, runs[1].wall_ms,
-               report.lines_read / (runs[1].wall_ms / 1000.0),
+               "],\"wall_ms\":%.3f,\"lines_per_sec\":%.0f,\"report\":%s}\n",
+               wall_ms, report.lines_read / (wall_ms / 1000.0),
                report.ToJson().c_str());
   std::fclose(out);
   std::printf("wrote %s\n", path.c_str());

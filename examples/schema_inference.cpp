@@ -62,7 +62,8 @@ int main(int argc, char** argv) {
   for (const auto& [label, words] : samples) {
     const auto result = inference::InferSore(words);
     dtd.rules[label] = result.expression;
-    std::printf("%-12s -> %-28s [%s%s%s]\n", dict.Name(label).c_str(),
+    std::printf("%-12s -> %-28s [%s%s%s]\n",
+                std::string(dict.Name(label)).c_str(),
                 result.expression->ToString(dict).c_str(),
                 regex::IsDeterministic(result.expression)
                     ? "deterministic"

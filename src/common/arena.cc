@@ -21,8 +21,10 @@ char* Arena::Alloc(size_t n) {
     ++cur_;
     used_ = 0;
   }
+  // Not zero-filled: every byte is written by the caller before it is
+  // read, and zeroing a whole block would dominate one-shot interners.
   const size_t size = std::max(block_bytes_, n);
-  blocks_.push_back(Block{std::make_unique<char[]>(size), size});
+  blocks_.push_back(Block{std::make_unique_for_overwrite<char[]>(size), size});
   cur_ = blocks_.size() - 1;
   used_ = n;
   return blocks_[cur_].data.get();

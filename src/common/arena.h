@@ -11,7 +11,7 @@ namespace rwdt {
 /// Bump allocator for byte blobs with O(1) wholesale reuse.
 ///
 /// Built for the engine's allocation-free steady state: a worker interns
-/// every symbol of a query into an arena-backed FlatInterner, then
+/// every symbol of a query into an arena-backed `Interner`, then
 /// `Clear()` recycles the memory for the next query without returning it
 /// to the heap. Blocks are retained across Clear(), so after warm-up the
 /// parse hot path performs no allocations at all.
@@ -28,8 +28,8 @@ class Arena {
   Arena(Arena&&) = default;
   Arena& operator=(Arena&&) = default;
 
-  /// Returns `n` bytes (unaligned; intended for character data).
-  /// Pointers stay valid until Clear().
+  /// Returns `n` uninitialized bytes (unaligned; intended for character
+  /// data). Pointers stay valid until Clear(), also across a move.
   char* Alloc(size_t n);
 
   /// Copies `s` into the arena and returns a view of the copy.

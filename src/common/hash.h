@@ -7,9 +7,9 @@
 
 namespace rwdt {
 
-/// Seed for all engine-internal hashing. Fixed (not randomized per
-/// process) so shard routing, and therefore the order-insensitive
-/// reduction, is reproducible run to run.
+/// Seed for all `Hash64` hashing (shard routing, dedup, every
+/// `Interner`). Fixed (not randomized per process) so shard routing, and
+/// therefore the order-insensitive reduction, is reproducible run to run.
 inline constexpr uint64_t kHashSeed = 0x2545f4914f6cdd1dull;
 
 namespace hash_internal {
@@ -31,11 +31,12 @@ inline uint64_t Load64(const char* p) {
 
 }  // namespace hash_internal
 
-/// 64-bit string hash, computed once per query text and threaded through
-/// shard routing and the shard memo's dedup lookup (hash-once
-/// pipeline). Word-at-a-time wyhash-style multiply-mix: ~8 bytes per
-/// cycle on the texts the paper's logs contain (tens to hundreds of
-/// bytes), an order of magnitude faster than byte-at-a-time FNV.
+/// 64-bit string hash behind every `Interner` probe. The engine computes
+/// it once per query text and threads it through shard routing and the
+/// shard memo's dedup lookup (hash-once pipeline). Word-at-a-time
+/// wyhash-style multiply-mix: ~8 bytes per cycle on the texts the
+/// paper's logs contain (tens to hundreds of bytes), an order of
+/// magnitude faster than byte-at-a-time FNV.
 ///
 /// Deterministic for a fixed seed and platform; NOT a portable fingerprint
 /// (little/big endian differ) and NOT for persistence.

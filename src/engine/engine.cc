@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "common/build_info.h"
-#include "common/flat_interner.h"
+#include "common/interner.h"
 #include "common/hash.h"
 #include "common/json.h"
 #include "core/query_analysis.h"
@@ -92,11 +92,11 @@ std::string EngineOptions::ToJson() const {
 struct alignas(64) Engine::ShardMemo {
   /// Text -> dense first-seen id, looked up with the hash precomputed
   /// during routing.
-  FlatInterner seen;
+  Interner seen;
   /// Per-parse symbol dictionary, Clear()ed before every parse so the
   /// analysis stays a pure function of the query text while the arena
   /// and slot table are reused allocation-free across queries.
-  FlatInterner dict;
+  Interner dict;
   struct Entry {
     /// Where this id sits in the open stream's `touched` list. Stale
     /// slots from earlier (finished or dropped) streams are harmless:

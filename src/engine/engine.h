@@ -11,7 +11,6 @@
 
 #include <atomic>
 
-#include "common/flat_interner.h"
 #include "common/status.h"
 #include "core/log_study.h"
 #include "engine/metrics.h"

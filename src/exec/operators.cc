@@ -10,7 +10,7 @@ namespace {
 /// interned with their leading "?" already.
 std::string TermString(const sparql::Term& t, const Interner& dict) {
   if (t.kind == sparql::Term::Kind::kNone) return "_";
-  return dict.Name(t.id);
+  return std::string(dict.Name(t.id));
 }
 
 std::string TripleString(const sparql::TriplePattern& t,

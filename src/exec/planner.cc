@@ -374,7 +374,7 @@ Result<Plan> Executor::MakePlan(const sparql::Query& q,
   plan.reason = std::move(reason);
   plan.root = std::move(built.value().op);
   plans_by_strategy_[static_cast<int>(strategy)]->Increment();
-  return std::move(plan);
+  return plan;
 }
 
 Result<std::vector<Binding>> Executor::Execute(Plan& plan) const {

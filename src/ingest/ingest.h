@@ -23,27 +23,10 @@ enum class LogFormat {
   kTsv,
 };
 
-/// Which reader implementation drives the ingest loop.
-enum class ReaderKind {
-  /// Zero-copy block pipeline (the default): BlockReader (mmap for
-  /// regular files, buffered read otherwise) + SWAR LineScanner, query
-  /// text flowing borrower-owned into the engine.
-  kBlock,
-  /// The historical istream/ReadLine/std::string-per-line reader. Kept
-  /// as the differential-testing baseline and for A/B benchmarking;
-  /// produces bit-identical reports by contract.
-  kLegacy,
-};
-
-const char* ReaderKindName(ReaderKind k);
-
 struct IngestOptions {
   LogFormat format = LogFormat::kPlain;
 
-  /// Reader implementation. Results never depend on this; speed does.
-  ReaderKind reader = ReaderKind::kBlock;
-
-  /// Block granularity of the kBlock reader. Tests shrink it to a few
+  /// Block granularity of the reader. Tests shrink it to a few
   /// bytes to sweep records across every block-boundary alignment.
   size_t block_bytes = size_t{1} << 20;
 
@@ -98,12 +81,10 @@ struct IngestReport {
   /// kTsv only: entry count per source column value.
   std::map<std::string, uint64_t> per_source;
 
-  /// Reader provenance: which implementation ran and, for kBlock, how
-  /// the bytes were acquired and stitched. Zero/false for kLegacy.
-  ReaderKind reader = ReaderKind::kLegacy;
-  bool used_mmap = false;       // kBlock: file was mapped, not read(2)
-  uint64_t blocks_read = 0;     // kBlock: blocks handed out
-  uint64_t carry_stitches = 0;  // kBlock: records straddling a boundary
+  /// Reader provenance: how the bytes were acquired and stitched.
+  bool used_mmap = false;       // file was mapped, not read(2)
+  uint64_t blocks_read = 0;     // blocks handed out
+  uint64_t carry_stitches = 0;  // records straddling a block boundary
 
   /// Single JSON object: study counts (total/valid/unique + per-class
   /// errors), reader counters, per-source counts (keys escaped — source
@@ -114,9 +95,12 @@ struct IngestReport {
 
 /// Streams a raw query log through the engine in bounded-memory chunks.
 ///
-/// The reader never materializes the log: it buffers at most
-/// `chunk_entries` lines (each capped at `max_line_bytes`) before
-/// handing them to the engine and releasing them. Malformed lines are
+/// The reader is a zero-copy block pipeline: a BlockReader (mmap for
+/// regular files, buffered read otherwise) feeds a SWAR LineScanner,
+/// and query text flows borrowed into the engine. It never materializes
+/// the log: it buffers at most `chunk_entries` lines (each capped at
+/// `max_line_bytes`) before handing them to the engine and releasing
+/// them. Malformed lines are
 /// classified into the error taxonomy and counted — a corrupt log
 /// streams end-to-end without aborting, and the valid subset's
 /// aggregates are bit-identical to analyzing only the surviving queries,

@@ -30,8 +30,8 @@ void LineScanner::AppendKept(std::string_view s) {
 bool LineScanner::EmitCarry(Line* out, uint64_t* bytes, uint64_t record_len,
                             bool saw_newline) {
   carry_stitches_++;
-  // Same order as the legacy reader: truncate to max (AppendKept already
-  // did), then strip one trailing '\r' from the kept bytes.
+  // Contract order: truncate to max (AppendKept already did), then
+  // strip one trailing '\r' from the kept bytes.
   if (!carry_.empty() && carry_.back() == '\r') carry_.pop_back();
   out->text = arena_->Copy(carry_);
   out->overflow = record_len > max_;

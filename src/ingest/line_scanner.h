@@ -15,16 +15,16 @@ namespace rwdt::ingest {
 /// Splits a BlockReader's blocks into terminator-free line records
 /// without materializing a std::string per line.
 ///
-/// Behavioral contract — byte-for-byte identical to the legacy
-/// `istream`/ReadLine reader, proven by the differential tests:
+/// Behavioral contract — checked byte for byte against a naive
+/// `std::string::find` splitter by the differential tests:
 ///
 ///   * Records are separated by '\n'; one trailing '\r' is stripped
 ///     from the kept bytes (CRLF logs), and a final record without a
 ///     terminating newline is still emitted.
-///   * A record longer than `max_line_bytes` keeps only its first
-///     `max_line_bytes` bytes and is flagged `overflow` — the rest is
-///     scanned (and counted) but never buffered, so memory stays
-///     bounded no matter what the log contains.
+///   * A record longer than `max_line_bytes` ('\r' included) keeps
+///     only its first `max_line_bytes` bytes and is flagged `overflow` —
+///     the rest is scanned (and counted) but never buffered, so memory
+///     stays bounded no matter what the log contains.
 ///   * `*bytes` accounting counts every byte consumed, terminator and
 ///     overflowed tail included.
 ///

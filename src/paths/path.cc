@@ -167,13 +167,9 @@ bool IsIriChar(char c) {
          c == '_' || c == '.' || c == '-' || c == '#';
 }
 
-/// Templated over the dictionary so the engine's hot path can supply an
-/// arena-backed FlatInterner while every other caller keeps Interner;
-/// both instantiations live in ParsePath below.
-template <class Dict>
 class PathParser {
  public:
-  PathParser(std::string_view input, Dict* dict)
+  PathParser(std::string_view input, Interner* dict)
       : input_(input), dict_(dict) {}
 
   Result<PathPtr> Parse() {
@@ -316,18 +312,14 @@ class PathParser {
   }
 
   std::string_view input_;
-  Dict* dict_;
+  Interner* dict_;
   size_t pos_ = 0;
 };
 
 }  // namespace
 
 Result<PathPtr> ParsePath(std::string_view input, Interner* dict) {
-  return PathParser<Interner>(input, dict).Parse();
-}
-
-Result<PathPtr> ParsePath(std::string_view input, FlatInterner* dict) {
-  return PathParser<FlatInterner>(input, dict).Parse();
+  return PathParser(input, dict).Parse();
 }
 
 }  // namespace rwdt::paths

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/flat_interner.h"
 #include "common/interner.h"
 #include "common/status.h"
 
@@ -75,11 +74,7 @@ class Path {
 
 /// Parses SPARQL property path syntax over IRIs written either as
 /// prefixed names (wdt:P31), <angle-bracket> IRIs, or bare identifiers.
-/// The FlatInterner overload is the engine's allocation-free hot path;
-/// both produce identical ASTs for identical inputs (same SymbolId
-/// contract).
 Result<PathPtr> ParsePath(std::string_view input, Interner* dict);
-Result<PathPtr> ParsePath(std::string_view input, FlatInterner* dict);
 
 }  // namespace rwdt::paths
 

@@ -101,8 +101,7 @@ void Render(const Regex& e, const Interner& dict, int parent_prec,
       *out += "<eps>";
       break;
     case Op::kSymbol: {
-      const std::string& name = dict.Name(e.symbol());
-      *out += name;
+      *out += dict.Name(e.symbol());
       break;
     }
     case Op::kConcat: {

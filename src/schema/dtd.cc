@@ -413,7 +413,7 @@ void RenderContent(const regex::Regex& e, const Interner& dict,
 std::string DtdToString(const Dtd& dtd, const Interner& dict) {
   std::string out;
   for (const auto& [label, content] : dtd.rules) {
-    out += "<!ELEMENT " + dict.Name(label) + " ";
+    out += "<!ELEMENT " + std::string(dict.Name(label)) + " ";
     if (content->op() == regex::Op::kEpsilon) {
       out += "EMPTY";
     } else {
@@ -424,7 +424,7 @@ std::string DtdToString(const Dtd& dtd, const Interner& dict) {
     out += ">\n";
   }
   for (SymbolId label : dtd.any) {
-    out += "<!ELEMENT " + dict.Name(label) + " ANY>\n";
+    out += "<!ELEMENT " + std::string(dict.Name(label)) + " ANY>\n";
   }
   return out;
 }

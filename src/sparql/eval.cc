@@ -42,13 +42,13 @@ Binding Merge(const Binding& a, const Binding& b) {
 }
 
 /// True when the string names a literal (interned with quotes).
-bool IsLiteralName(const std::string& name) {
+bool IsLiteralName(std::string_view name) {
   return !name.empty() && name[0] == '"';
 }
 
 /// Numeric value of a literal, if it parses.
-bool NumericValue(const std::string& name, double* out) {
-  std::string body = name;
+bool NumericValue(std::string_view name, double* out) {
+  std::string body(name);
   if (IsLiteralName(body) && body.size() >= 2) {
     body = body.substr(1, body.size() - 2);
   }
@@ -294,7 +294,7 @@ Result<bool> Evaluator::EvalFilter(const FilterExpr& f,
         return it != mu.end();
       }
       if (it == mu.end()) return false;  // error -> not selected
-      const std::string& name = dict_->Name(it->second);
+      const std::string_view name = dict_->Name(it->second);
       if (f.function == "isIRI" || f.function == "isURI") {
         return !IsLiteralName(name) && name.substr(0, 2) != "_:";
       }
@@ -334,8 +334,8 @@ Result<bool> Evaluator::EvalFilter(const FilterExpr& f,
       if (!value(f.lhs, &l) || !value(f.rhs, &r)) return false;
       if (f.cmp == FilterExpr::CmpOp::kEq) return l == r;
       if (f.cmp == FilterExpr::CmpOp::kNe) return l != r;
-      const std::string& ln = dict_->Name(l);
-      const std::string& rn = dict_->Name(r);
+      const std::string_view ln = dict_->Name(l);
+      const std::string_view rn = dict_->Name(r);
       double lv, rv;
       int c;
       if (NumericValue(ln, &lv) && NumericValue(rn, &rv)) {
@@ -542,8 +542,7 @@ Result<std::vector<Binding>> Evaluator::ApplyModifiers(
           value = it->second;
           ++count;
           double v = 0;
-          const std::string& name = dict_->Name(value);
-          std::string body = name;
+          std::string body(dict_->Name(value));
           if (!body.empty() && body[0] == '"' && body.size() >= 2) {
             body = body.substr(1, body.size() - 2);
           }
@@ -619,9 +618,9 @@ Result<std::vector<Binding>> Evaluator::ApplyModifiers(
             const SymbolId var = q.modifiers.order_by[i].id;
             auto ita = a.find(var);
             auto itb = b.find(var);
-            const std::string na =
+            const std::string_view na =
                 ita == a.end() ? "" : dict_->Name(ita->second);
-            const std::string nb =
+            const std::string_view nb =
                 itb == b.end() ? "" : dict_->Name(itb->second);
             double va, vb;
             int c;

@@ -17,17 +17,11 @@ bool IsPathOperatorChar(char c) {
          c == '?' || c == '!' || c == '(';
 }
 
-/// Templated over the dictionary type: the engine's hot path parses into
-/// a reusable arena-backed FlatInterner (allocation-free steady state),
-/// everything else keeps Interner. Both instantiations are emitted via
-/// the ParseSparql overloads at the bottom of this file and produce
-/// identical ASTs (the two dictionaries share the SymbolId contract).
-template <class Dict>
 class SparqlParser {
  public:
   /// `steps` is the shared step budget, decremented across subquery
   /// parsers so nesting cannot multiply the budget.
-  SparqlParser(std::string_view input, Dict* dict,
+  SparqlParser(std::string_view input, Interner* dict,
                const ParseLimits& limits, size_t* steps)
       : input_(input), dict_(dict), limits_(limits), steps_(steps) {}
 
@@ -953,7 +947,7 @@ class SparqlParser {
   }
 
   std::string_view input_;
-  Dict* dict_;
+  Interner* dict_;
   ParseLimits limits_;
   size_t* steps_;  // shared budget, owned by the root ParseSparql call
   size_t pos_ = 0;
@@ -977,20 +971,10 @@ Result<Query> ParseSparql(std::string_view input, Interner* dict) {
   return ParseSparql(input, dict, ParseLimits{});
 }
 
-Result<Query> ParseSparql(std::string_view input, FlatInterner* dict) {
-  return ParseSparql(input, dict, ParseLimits{});
-}
-
 Result<Query> ParseSparql(std::string_view input, Interner* dict,
                           const ParseLimits& limits) {
   size_t steps = limits.max_parser_steps;
-  return SparqlParser<Interner>(input, dict, limits, &steps).Parse();
-}
-
-Result<Query> ParseSparql(std::string_view input, FlatInterner* dict,
-                          const ParseLimits& limits) {
-  size_t steps = limits.max_parser_steps;
-  return SparqlParser<FlatInterner>(input, dict, limits, &steps).Parse();
+  return SparqlParser(input, dict, limits, &steps).Parse();
 }
 
 }  // namespace rwdt::sparql

@@ -3,7 +3,6 @@
 
 #include <string_view>
 
-#include "common/flat_interner.h"
 #include "common/interner.h"
 #include "common/status.h"
 #include "sparql/algebra.h"
@@ -44,15 +43,11 @@ struct ParseLimits {
 /// for malformed tokens, kParseError for grammar violations,
 /// kUnsupported for recognized-but-unsupported syntax, and
 /// kResourceExhausted when `limits` are exceeded.
-/// The FlatInterner overloads are the engine's allocation-free hot path:
-/// the caller keeps one arena-backed dictionary per worker and Clear()s
-/// it between queries instead of rebuilding a hash map per parse. Both
-/// dictionary types yield identical ASTs for identical inputs.
+///
+/// The engine's hot path keeps one dictionary per worker and Clear()s it
+/// between queries, so a warmed-up parse interns without allocating.
 Result<Query> ParseSparql(std::string_view input, Interner* dict);
 Result<Query> ParseSparql(std::string_view input, Interner* dict,
-                          const ParseLimits& limits);
-Result<Query> ParseSparql(std::string_view input, FlatInterner* dict);
-Result<Query> ParseSparql(std::string_view input, FlatInterner* dict,
                           const ParseLimits& limits);
 
 }  // namespace rwdt::sparql

@@ -379,8 +379,9 @@ class XmlParser {
 void RenderNode(const Tree& tree, const Interner& dict, NodeId id,
                 std::string* out) {
   const auto& node = tree.node(id);
-  const std::string& name = dict.Name(node.label);
-  *out += '<' + name;
+  const std::string_view name = dict.Name(node.label);
+  *out += '<';
+  *out += name;
   if (node.children.empty() && node.text.empty()) {
     *out += "/>";
     return;
@@ -388,7 +389,9 @@ void RenderNode(const Tree& tree, const Interner& dict, NodeId id,
   *out += '>';
   *out += node.text;
   for (NodeId c : node.children) RenderNode(tree, dict, c, out);
-  *out += "</" + name + '>';
+  *out += "</";
+  *out += name;
+  *out += '>';
 }
 
 }  // namespace

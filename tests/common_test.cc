@@ -2,11 +2,12 @@
 
 #include <set>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/arena.h"
-#include "common/flat_interner.h"
 #include "common/hash.h"
 #include "common/interner.h"
 #include "common/rng.h"
@@ -107,17 +108,6 @@ TEST(ErrorClassTest, NamesAreStableSnakeCase) {
                "resource_exhausted");
   EXPECT_STREQ(ErrorClassName(ErrorClass::kEncodingError),
                "encoding_error");
-}
-
-TEST(InternerTest, AssignsDenseIdsInOrder) {
-  Interner dict;
-  EXPECT_EQ(dict.Intern("a"), 0u);
-  EXPECT_EQ(dict.Intern("b"), 1u);
-  EXPECT_EQ(dict.Intern("a"), 0u);
-  EXPECT_EQ(dict.size(), 2u);
-  EXPECT_EQ(dict.Name(1), "b");
-  EXPECT_EQ(dict.Lookup("b"), 1u);
-  EXPECT_EQ(dict.Lookup("zzz"), kInvalidSymbol);
 }
 
 TEST(RngTest, DeterministicForFixedSeed) {
@@ -278,8 +268,8 @@ TEST(ArenaTest, CopyRoundTripsAndClearReuses) {
   EXPECT_EQ(arena.bytes_reserved(), reserved);
 }
 
-TEST(FlatInternerTest, AssignsDenseIdsInOrder) {
-  FlatInterner in;
+TEST(InternerTest, AssignsDenseIdsInOrder) {
+  Interner in;
   EXPECT_EQ(in.Intern("a"), 0u);
   EXPECT_EQ(in.Intern("b"), 1u);
   EXPECT_EQ(in.Intern("a"), 0u);
@@ -288,10 +278,11 @@ TEST(FlatInternerTest, AssignsDenseIdsInOrder) {
   EXPECT_EQ(in.Name(1), "b");
   EXPECT_EQ(in.Lookup("b"), 1u);
   EXPECT_EQ(in.Lookup("c"), kInvalidSymbol);
+  EXPECT_EQ(in.Lookup("zzz"), kInvalidSymbol);
 }
 
-TEST(FlatInternerTest, EdgeCaseKeys) {
-  FlatInterner in;
+TEST(InternerTest, EdgeCaseKeys) {
+  Interner in;
   const std::string long_key(100000, 'q');
   EXPECT_EQ(in.Intern(""), 0u);  // empty string is a valid symbol
   EXPECT_EQ(in.Intern(long_key), 1u);
@@ -303,18 +294,18 @@ TEST(FlatInternerTest, EdgeCaseKeys) {
   EXPECT_EQ(in.Intern(long_key), 0u);  // ids restart after Clear
 }
 
-/// The engine's correctness hinges on FlatInterner honoring the exact
-/// SymbolId contract of Interner: dense ids in first-seen order. Drive
-/// both with random string multisets (duplicates, empty strings, long
-/// strings, keys straddling the 8-byte hash word boundary) and demand
-/// identical ids — including across Clear() cycles, where the flat
+/// The SymbolId contract — dense ids in first-seen order — checked
+/// against a plain hash map plus name vector on random string multisets
+/// (duplicates, empty strings, long strings, keys straddling the 8-byte
+/// hash word boundary), including across Clear() cycles, where the slot
 /// table keeps its grown capacity (resize-across-clear).
-TEST(FlatInternerTest, PropertyMatchesInternerOnRandomMultisets) {
+TEST(InternerTest, PropertyMatchesReferenceOnRandomMultisets) {
   Rng rng(2022);
-  FlatInterner flat;  // reused across rounds via Clear()
+  Interner in;  // reused across rounds via Clear()
   for (int round = 0; round < 8; ++round) {
-    Interner reference;
-    flat.Clear();
+    std::unordered_map<std::string, SymbolId> ref_ids;
+    std::vector<std::string> ref_names;
+    in.Clear();
     const int n = 200 + static_cast<int>(rng.NextBelow(800));
     for (int i = 0; i < n; ++i) {
       std::string key;
@@ -328,16 +319,60 @@ TEST(FlatInternerTest, PropertyMatchesInternerOnRandomMultisets) {
         // Small key space => plenty of duplicates per round.
         key = "sym:" + std::to_string(rng.NextBelow(64));
       }
-      const SymbolId want = reference.Intern(key);
-      const SymbolId got = flat.InternWithHash(Hash64(key), key);
+      const auto [it, inserted] =
+          ref_ids.emplace(key, static_cast<SymbolId>(ref_names.size()));
+      if (inserted) ref_names.push_back(key);
+      const SymbolId want = it->second;
+      const SymbolId got = in.InternWithHash(Hash64(key), key);
       ASSERT_EQ(got, want) << "round " << round << " key " << key;
-      ASSERT_EQ(flat.Lookup(key), want);
+      ASSERT_EQ(in.Lookup(key), want);
     }
-    ASSERT_EQ(flat.size(), reference.size());
-    for (SymbolId id = 0; id < flat.size(); ++id) {
-      ASSERT_EQ(flat.Name(id), reference.Name(id));
+    ASSERT_EQ(in.size(), ref_names.size());
+    for (SymbolId id = 0; id < in.size(); ++id) {
+      ASSERT_EQ(in.Name(id), ref_names[id]);
     }
   }
+}
+
+/// Name() views point into arena blocks that never move: they survive
+/// later inserts (new blocks, slot-table growth) and moving the
+/// interner, by construction and by assignment.
+TEST(InternerTest, NamesSurviveMoveAndGrowth) {
+  constexpr int kSymbols = 2000;
+  std::vector<std::string> keys;
+  for (int i = 0; i < kSymbols; ++i) {
+    // ~100 bytes each: 2000 keys span several 64 KiB arena blocks and
+    // grow the slot table from 64 to 4096 slots.
+    keys.push_back("sym" + std::to_string(i) + ":" + std::string(96, 'x'));
+  }
+  Interner in;
+  std::vector<std::string_view> views;
+  for (int i = 0; i < kSymbols; ++i) {
+    ASSERT_EQ(in.Intern(keys[i]), static_cast<SymbolId>(i));
+    views.push_back(in.Name(static_cast<SymbolId>(i)));
+  }
+  ASSERT_GT(in.bytes_reserved(), size_t{3} << 16);
+  auto check = [&](const Interner& dict, const char* stage) {
+    ASSERT_EQ(dict.size(), static_cast<size_t>(kSymbols)) << stage;
+    for (int i = 0; i < kSymbols; ++i) {
+      const SymbolId id = static_cast<SymbolId>(i);
+      ASSERT_EQ(views[i], keys[i]) << stage << " view " << i;
+      ASSERT_EQ(dict.Name(id).data(), views[i].data()) << stage << " " << i;
+      ASSERT_EQ(dict.Lookup(keys[i]), id) << stage << " lookup " << i;
+    }
+  };
+  check(in, "after growth");
+
+  Interner constructed(std::move(in));
+  check(constructed, "after move construction");
+
+  Interner assigned;
+  assigned.Intern("displaced");
+  assigned = std::move(constructed);
+  check(assigned, "after move assignment");
+  EXPECT_EQ(assigned.Lookup("displaced"), kInvalidSymbol);
+  EXPECT_EQ(assigned.Intern("new"), static_cast<SymbolId>(kSymbols));
+  EXPECT_EQ(views[0], keys[0]);
 }
 
 size_t NaiveFindByte(const char* p, size_t n, char b) {

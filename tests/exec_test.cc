@@ -100,9 +100,10 @@ TEST_F(ExecTest, AcyclicCqRunsYannakakis) {
   // A triple without variables is an empty edge of the join forest: an
   // ear under any partner, joined as a filter on the rest.
   const graph::Triple& t = store_.triples().front();
-  const std::string present = "SELECT * WHERE { ?x p0 ?y . " +
-                              dict_.Name(t.s) + " " + dict_.Name(t.p) +
-                              " " + dict_.Name(t.o) + " . ?y p1 ?z }";
+  const std::string present =
+      "SELECT * WHERE { ?x p0 ?y . " + std::string(dict_.Name(t.s)) + " " +
+      std::string(dict_.Name(t.p)) + " " + std::string(dict_.Name(t.o)) +
+      " . ?y p1 ?z }";
   ExpectStrategyAndAgreement(present, Strategy::kYannakakis);
   auto rows = Executor(store_, &dict_).Run(Parse(present));
   ASSERT_TRUE(rows.ok());

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "loggen/log_text.h"
 #include "loggen/sparql_gen.h"
 #include "sparql/parser.h"
+#include "tree/xml.h"
 
 namespace rwdt::ingest {
 namespace {
@@ -261,11 +264,12 @@ TEST(IngestTest, CorruptionNeverPerturbsValidSubsetAggregates) {
 // --- Reader differential tests -----------------------------------------
 //
 // The block pipeline (BlockReader + SWAR LineScanner + string_view
-// chunks) must be observationally identical to the legacy
-// istream/getline reader: same study, same line/byte accounting, same
-// per-source split — for every line-ending dialect and every block size,
-// including the degenerate 1-byte blocks that put a boundary inside
-// every record, every CRLF pair, and every UTF-8 sequence.
+// chunks) must be observationally identical to a naive splitter that
+// follows the documented line semantics: same study, same line/byte
+// accounting, same per-source split — for every line-ending dialect and
+// every block size, including the degenerate 1-byte blocks that put a
+// boundary inside every record, every CRLF pair, and every UTF-8
+// sequence.
 
 IngestReport MustIngest(const std::string& text, const IngestOptions& opts) {
   std::stringstream in(text);
@@ -274,14 +278,72 @@ IngestReport MustIngest(const std::string& text, const IngestOptions& opts) {
   return std::move(r).value();
 }
 
-void ExpectSameObservables(const IngestReport& legacy,
-                           const IngestReport& block,
+/// The oracle: splits `text` on '\n' with std::string::find, keeps at
+/// most `max_line_bytes` of each line (flagging the rest as overflow),
+/// strips one trailing '\r' from the kept bytes, and counts bytes
+/// terminator included. Then the blank, TSV and UTF-8 rules, in the
+/// documented order, decide which texts a 1-thread stream is fed and
+/// which it is told to reject.
+IngestReport NaiveIngest(const std::string& text, const IngestOptions& opts) {
+  IngestReport report;
+  engine::EngineOptions eopts = opts.engine;
+  eopts.threads = 1;
+  engine::Engine engine(eopts);
+  engine::EngineStream stream =
+      engine.OpenStream(opts.source_name, opts.wikidata_like);
+  std::vector<std::string> fed;
+  size_t pos = 0;
+  while (pos < text.size()) {
+    size_t end = text.find('\n', pos);
+    const bool terminated = end != std::string::npos;
+    if (!terminated) end = text.size();
+    std::string line = text.substr(pos, end - pos);
+    pos = terminated ? end + 1 : end;
+    report.bytes_read += line.size() + (terminated ? 1 : 0);
+    report.lines_read++;
+    const bool overflow = line.size() > opts.max_line_bytes;
+    line.resize(std::min(line.size(), opts.max_line_bytes));
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+
+    if (opts.skip_blank_lines &&
+        line.find_first_not_of(" \t") == std::string::npos) {
+      report.blank_lines++;
+      continue;
+    }
+    if (overflow) {
+      stream.Reject(ErrorClass::kResourceExhausted);
+      continue;
+    }
+    std::string query = line;
+    if (opts.format == LogFormat::kTsv) {
+      const size_t tab = line.find('\t');
+      if (tab == std::string::npos) {
+        stream.Reject(ErrorClass::kParseError);
+        continue;
+      }
+      report.per_source[line.substr(0, tab)]++;
+      query = line.substr(tab + 1);
+    }
+    if (opts.validate_utf8 && !tree::IsValidUtf8(query)) {
+      stream.Reject(ErrorClass::kEncodingError);
+      continue;
+    }
+    fed.push_back(std::move(query));
+  }
+  const std::vector<std::string_view> views(fed.begin(), fed.end());
+  stream.Feed(views);
+  report.study = stream.Finish();
+  return report;
+}
+
+void ExpectSameObservables(const IngestReport& expected,
+                           const IngestReport& got,
                            const std::string& context) {
-  EXPECT_TRUE(legacy.study == block.study) << context;
-  EXPECT_EQ(legacy.lines_read, block.lines_read) << context;
-  EXPECT_EQ(legacy.blank_lines, block.blank_lines) << context;
-  EXPECT_EQ(legacy.bytes_read, block.bytes_read) << context;
-  EXPECT_EQ(legacy.per_source, block.per_source) << context;
+  EXPECT_TRUE(expected.study == got.study) << context;
+  EXPECT_EQ(expected.lines_read, got.lines_read) << context;
+  EXPECT_EQ(expected.blank_lines, got.blank_lines) << context;
+  EXPECT_EQ(expected.bytes_read, got.bytes_read) << context;
+  EXPECT_EQ(expected.per_source, got.per_source) << context;
 }
 
 TEST(IngestReaderDifferentialTest, BitIdenticalOnCorruptedLogsAllDialects) {
@@ -308,12 +370,8 @@ TEST(IngestReaderDifferentialTest, BitIdenticalOnCorruptedLogsAllDialects) {
         IngestOptions opts;
         opts.format = tsv ? LogFormat::kTsv : LogFormat::kPlain;
         opts.engine.threads = 1;
-        opts.reader = ReaderKind::kLegacy;
-        const IngestReport legacy = MustIngest(text, opts);
-        EXPECT_EQ(legacy.reader, ReaderKind::kLegacy);
-        EXPECT_EQ(legacy.blocks_read, 0u);
+        const IngestReport expected = NaiveIngest(text, opts);
 
-        opts.reader = ReaderKind::kBlock;
         for (const size_t block_bytes :
              {size_t{1}, size_t{2}, size_t{3}, size_t{7}, size_t{64},
               size_t{4096}, size_t{1} << 20}) {
@@ -323,8 +381,7 @@ TEST(IngestReaderDifferentialTest, BitIdenticalOnCorruptedLogsAllDialects) {
               "tsv=" + std::to_string(tsv) + " crlf=" + std::to_string(crlf) +
               " final_newline=" + std::to_string(final_newline) +
               " block_bytes=" + std::to_string(block_bytes);
-          ExpectSameObservables(legacy, block, context);
-          EXPECT_EQ(block.reader, ReaderKind::kBlock) << context;
+          ExpectSameObservables(expected, block, context);
           EXPECT_FALSE(block.used_mmap) << context;  // istream fallback
           if (block_bytes < 64) {
             // Tiny blocks force records across boundaries: the carry
@@ -337,7 +394,7 @@ TEST(IngestReaderDifferentialTest, BitIdenticalOnCorruptedLogsAllDialects) {
   }
 }
 
-TEST(IngestReaderDifferentialTest, OverflowSpanningBlocksMatchesLegacy) {
+TEST(IngestReaderDifferentialTest, OverflowSpanningBlocksMatchesOracle) {
   // A 100-byte line against max_line_bytes=16 and block_bytes=32: the
   // overflow is detected mid-carry and the tail still has to be drained
   // with exact byte accounting.
@@ -348,15 +405,13 @@ TEST(IngestReaderDifferentialTest, OverflowSpanningBlocksMatchesLegacy) {
   IngestOptions opts;
   opts.engine.threads = 1;
   opts.max_line_bytes = 16;
-  opts.reader = ReaderKind::kLegacy;
-  const IngestReport legacy = MustIngest(text, opts);
-  EXPECT_EQ(ErrorCount(legacy.study, ErrorClass::kResourceExhausted), 1u);
+  const IngestReport expected = NaiveIngest(text, opts);
+  EXPECT_EQ(ErrorCount(expected.study, ErrorClass::kResourceExhausted), 1u);
 
-  opts.reader = ReaderKind::kBlock;
   for (const size_t block_bytes : {size_t{1}, size_t{16}, size_t{32}}) {
     opts.block_bytes = block_bytes;
     const IngestReport block = MustIngest(text, opts);
-    ExpectSameObservables(legacy, block,
+    ExpectSameObservables(expected, block,
                           "block_bytes=" + std::to_string(block_bytes));
   }
 }
@@ -370,16 +425,14 @@ TEST(IngestReaderDifferentialTest, Utf8AndCrSplitAcrossBlockEdges) {
 
   IngestOptions opts;
   opts.engine.threads = 1;
-  opts.reader = ReaderKind::kLegacy;
-  const IngestReport legacy = MustIngest(text, opts);
-  EXPECT_EQ(legacy.study.valid, 2u);
-  EXPECT_EQ(legacy.study.unique, 1u);
+  const IngestReport expected = NaiveIngest(text, opts);
+  EXPECT_EQ(expected.study.valid, 2u);
+  EXPECT_EQ(expected.study.unique, 1u);
 
-  opts.reader = ReaderKind::kBlock;
   for (size_t block_bytes = 1; block_bytes <= 8; ++block_bytes) {
     opts.block_bytes = block_bytes;
     const IngestReport block = MustIngest(text, opts);
-    ExpectSameObservables(legacy, block,
+    ExpectSameObservables(expected, block,
                           "block_bytes=" + std::to_string(block_bytes));
   }
 }
@@ -392,12 +445,10 @@ TEST(IngestReaderDifferentialTest, EmbeddedNulsPassThroughIdentically) {
   for (const size_t block_bytes : {size_t{1}, size_t{4096}}) {
     IngestOptions opts;
     opts.engine.threads = 1;
-    opts.reader = ReaderKind::kLegacy;
-    const IngestReport legacy = MustIngest(text, opts);
-    opts.reader = ReaderKind::kBlock;
+    const IngestReport expected = NaiveIngest(text, opts);
     opts.block_bytes = block_bytes;
     const IngestReport block = MustIngest(text, opts);
-    ExpectSameObservables(legacy, block,
+    ExpectSameObservables(expected, block,
                           "block_bytes=" + std::to_string(block_bytes));
     // NUL-bearing lines are real records, not terminators.
     EXPECT_EQ(block.lines_read, 3u);
@@ -410,52 +461,47 @@ TEST(IngestReaderDifferentialTest, EmptyAndNewlinelessInputs) {
         std::string{"\n"}, std::string{"\r\n"}}) {
     IngestOptions opts;
     opts.engine.threads = 1;
-    opts.reader = ReaderKind::kLegacy;
-    const IngestReport legacy = MustIngest(text, opts);
-    opts.reader = ReaderKind::kBlock;
+    const IngestReport expected = NaiveIngest(text, opts);
     opts.block_bytes = 4;
     const IngestReport block = MustIngest(text, opts);
-    ExpectSameObservables(legacy, block, "text=" + text);
+    ExpectSameObservables(expected, block, "text=" + text);
   }
 }
 
-TEST(IngestReaderDifferentialTest, FileIngestUsesMmapAndMatchesLegacy) {
+TEST(IngestReaderDifferentialTest, FileIngestUsesMmapAndMatchesOracle) {
   loggen::SourceProfile profile = loggen::ExampleProfile(120);
   auto log = loggen::GenerateLog(profile, 23);
   loggen::CorruptionOptions copts;
   copts.rate = 0.25;
   loggen::CorruptLog(&log, 37, copts);
 
+  std::stringstream text;
+  loggen::WriteLogText(log, text);
   const std::string path =
       ::testing::TempDir() + "/rwdt_ingest_differential.log";
   {
     std::ofstream out(path, std::ios::binary);
     ASSERT_TRUE(out.is_open());
-    loggen::WriteLogText(log, out);
+    out << text.str();
   }
 
   IngestOptions opts;
   opts.engine.threads = 1;
-  opts.reader = ReaderKind::kLegacy;
-  auto legacy = IngestFile(path, opts);
-  ASSERT_TRUE(legacy.ok()) << legacy.error_message();
-
-  opts.reader = ReaderKind::kBlock;
   auto block = IngestFile(path, opts);
   ASSERT_TRUE(block.ok()) << block.error_message();
   std::remove(path.c_str());
 
-  ExpectSameObservables(legacy.value(), block.value(), "file ingest");
+  ExpectSameObservables(NaiveIngest(text.str(), opts), block.value(),
+                        "file ingest");
   // Regular file => the mapped zero-copy path, in one 1 MiB block.
   EXPECT_TRUE(block.value().used_mmap);
   EXPECT_EQ(block.value().blocks_read, 1u);
   EXPECT_EQ(block.value().carry_stitches, 0u);
-  EXPECT_FALSE(legacy.value().used_mmap);
 }
 
 TEST(IngestTest, BlockReaderCountersReachMetricRegistry) {
   // The PR 5 registry carries the block pipeline's provenance series:
-  // blocks by acquisition mode, carry stitches, and runs by reader.
+  // blocks by acquisition mode, carry stitches, and runs.
   std::stringstream in;
   in << "ASK { ?s ?p ?o }\nASK { ?s ?p ?o }\n";
   IngestOptions opts;
@@ -470,8 +516,7 @@ TEST(IngestTest, BlockReaderCountersReachMetricRegistry) {
             std::string::npos)
       << om;
   EXPECT_NE(om.find("rwdt_ingest_carry_stitches_total"), std::string::npos);
-  EXPECT_NE(om.find("rwdt_ingest_runs_total{reader=\"block\"}"),
-            std::string::npos);
+  EXPECT_NE(om.find("rwdt_ingest_runs_total"), std::string::npos);
 }
 
 TEST(IngestTest, ReportJsonCarriesReaderProvenance) {
@@ -482,7 +527,6 @@ TEST(IngestTest, ReportJsonCarriesReaderProvenance) {
   auto r = IngestStream(in, opts);
   ASSERT_TRUE(r.ok());
   const std::string json = r.value().ToJson();
-  EXPECT_NE(json.find("\"reader\":\"block\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"used_mmap\":false"), std::string::npos) << json;
   EXPECT_NE(json.find("\"blocks_read\":"), std::string::npos) << json;
   EXPECT_NE(json.find("\"carry_stitches\":"), std::string::npos) << json;

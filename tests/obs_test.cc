@@ -173,7 +173,7 @@ TEST(TraceCollectorTest, ConcurrentWritersUnderThreadPool) {
         Span span("task");
         // A touch of work so spans have nonzero duration.
         volatile int sink = 0;
-        for (int j = 0; j < 100; ++j) sink += j;
+        for (int j = 0; j < 100; ++j) sink = sink + j;
       });
     }
     pool.Wait();
@@ -206,7 +206,9 @@ TEST(TraceCollectorTest, ConcurrentWritersUnderThreadPool) {
     EXPECT_GE(ts, 0.0);
     EXPECT_GE(dur, 0.0);
     const auto it = last_ts.find(tid);
-    if (it != last_ts.end()) EXPECT_GE(ts, it->second);
+    if (it != last_ts.end()) {
+      EXPECT_GE(ts, it->second);
+    }
     last_ts[tid] = ts;
   }
   EXPECT_EQ(slices, kTasks);

@@ -101,7 +101,9 @@ TEST(RateScheduleTest, ArrivalsMatchMeanRate) {
   for (size_t i = 0; i < arrivals.size(); ++i) {
     EXPECT_GE(arrivals[i], 0);
     EXPECT_LT(arrivals[i], 20.0);
-    if (i > 0) EXPECT_GT(arrivals[i], arrivals[i - 1]);
+    if (i > 0) {
+      EXPECT_GT(arrivals[i], arrivals[i - 1]);
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <map>
 #include <set>
 
 namespace rwdt::exec {
@@ -207,6 +208,35 @@ void ForEachSuccessor(const graph::TripleStore& store, const PathNfa::Edge& e,
   }
 }
 
+/// The successors of every term under one labeled step (kFwd / kInv of
+/// one IRI) in CSR form over dense term ids: the successors of t are
+/// targets[offsets[t] .. offsets[t + 1]). The sweep from every term
+/// repeats the same steps, so it pays one pass over the label's triples
+/// instead of one index binary search per product step.
+struct StepIndex {
+  std::vector<uint32_t> offsets;
+  std::vector<SymbolId> targets;
+};
+
+StepIndex BuildStepIndex(const graph::TripleStore& store,
+                         const PathNfa::Edge& e, SymbolId max_id) {
+  const bool fwd = e.kind == PathNfa::EdgeKind::kFwd;
+  const std::vector<graph::Triple> triples =
+      store.Match(kInvalidSymbol, e.iri, kInvalidSymbol);
+  StepIndex idx;
+  idx.offsets.assign(static_cast<size_t>(max_id) + 2, 0);
+  for (const graph::Triple& t : triples) ++idx.offsets[(fwd ? t.s : t.o) + 1];
+  for (size_t i = 1; i < idx.offsets.size(); ++i) {
+    idx.offsets[i] += idx.offsets[i - 1];
+  }
+  idx.targets.resize(triples.size());
+  std::vector<uint32_t> fill(idx.offsets.begin(), idx.offsets.end() - 1);
+  for (const graph::Triple& t : triples) {
+    idx.targets[fill[fwd ? t.s : t.o]++] = fwd ? t.o : t.s;
+  }
+  return idx;
+}
+
 /// One reverse application of `e` into `t` (the bound-object backward
 /// sweep): calls `visit(x)` for every term x with x -e-> t.
 template <typename Visit>
@@ -271,6 +301,24 @@ std::vector<std::pair<SymbolId, SymbolId>> EvalPathNfa(
   uint32_t epoch = 0;
   std::vector<std::pair<SymbolId, uint32_t>> work;
 
+  // Per state and out-edge: its StepIndex, or null to step through the
+  // store's ranges (negated sets, and the single sweeps of a bound end).
+  std::map<std::pair<PathNfa::EdgeKind, SymbolId>, StepIndex> indexes;
+  std::vector<std::vector<const StepIndex*>> step_index;
+  auto for_each_step = [&](uint32_t state, size_t k, SymbolId term,
+                           auto&& visit_term) {
+    const PathNfa::Edge& e = nfa.adj[state][k];
+    const StepIndex* idx =
+        step_index.empty() ? nullptr : step_index[state][k];
+    if (idx == nullptr) {
+      ForEachSuccessor(store, e, term, visit_term);
+      return;
+    }
+    for (uint32_t i = idx->offsets[term]; i < idx->offsets[term + 1]; ++i) {
+      visit_term(idx->targets[i]);
+    }
+  };
+
   // One forward product sweep; emits (start, y) at every accepting
   // product node, including the seed (zero-length matches when
   // nullable). Traversal order is immaterial for reachability, so the
@@ -293,9 +341,9 @@ std::vector<std::pair<SymbolId, SymbolId>> EvalPathNfa(
     while (!work.empty()) {
       const auto [term, state] = work.back();
       work.pop_back();
-      for (const auto& e : nfa.adj[state]) {
-        ForEachSuccessor(store, e, term,
-                         [&](SymbolId y) { visit(y, e.to); });
+      for (size_t k = 0; k < nfa.adj[state].size(); ++k) {
+        const uint32_t to = nfa.adj[state][k].to;
+        for_each_step(state, k, term, [&](SymbolId y) { visit(y, to); });
       }
     }
   };
@@ -334,10 +382,34 @@ std::vector<std::pair<SymbolId, SymbolId>> EvalPathNfa(
       }
     }
   } else {
-    for (SymbolId start : all_terms) forward_from(start);
+    step_index.resize(ns);
+    for (uint32_t q = 0; q < ns; ++q) {
+      for (const PathNfa::Edge& e : nfa.adj[q]) {
+        const StepIndex* idx = nullptr;
+        if (e.kind == PathNfa::EdgeKind::kFwd ||
+            e.kind == PathNfa::EdgeKind::kInv) {
+          auto [it, fresh] = indexes.try_emplace({e.kind, e.iri});
+          if (fresh) it->second = BuildStepIndex(store, e, max_id);
+          idx = &it->second;
+        }
+        step_index[q].push_back(idx);
+      }
+    }
+    // First-step precheck: without zero-length matches, a start term
+    // with no store edge for any transition out of the start state
+    // emits nothing, so its sweep is skipped.
+    auto has_first_step = [&](SymbolId start) {
+      bool any = false;
+      for (size_t k = 0; k < nfa.adj[nfa.start].size() && !any; ++k) {
+        for_each_step(nfa.start, k, start, [&](SymbolId) { any = true; });
+      }
+      return any;
+    };
+    for (SymbolId start : all_terms) {
+      if (nfa.nullable || has_first_step(start)) forward_from(start);
+    }
   }
 
-  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -48,12 +48,14 @@ struct PathNfa {
 /// size; always succeeds.
 PathNfa CompilePathNfa(const paths::Path& path);
 
-/// All (start, end) pairs of the path over the store, via BFS on the
-/// (graph term x NFA state) product. Fixing `s`/`o` restricts the search
-/// (bound `s`: one forward sweep; bound `o` alone: one backward sweep).
+/// All (start, end) pairs of the path over the store, each once, in
+/// sweep order, via BFS on the (graph term x NFA state) product. Fixing
+/// `s`/`o` restricts the search (bound `s`: one forward sweep; bound `o`
+/// alone: one backward sweep; both unbound: one forward sweep per term,
+/// over per-label successor arrays built once per call).
 ///
 /// `all_terms` must be the sorted subjects-union-objects of the store
-/// (`Evaluator::AllTerms` order) — it seeds the unbound sweeps and the
+/// (`TripleStore::Terms`) — it seeds the unbound sweeps and the
 /// zero-length matches. The pair set is exactly
 /// `Evaluator::EvalPathPairs(path, s, o)` whenever `o` is unbound, `s`
 /// is bound, or `o` is in `all_terms`; the one remaining corner (s

@@ -29,8 +29,12 @@ void FlattenConjuncts(const sparql::Pattern& p,
   out->push_back(&p);
 }
 
-void TermVars(const sparql::Term& t, std::set<SymbolId>* out) {
-  if (t.ActsAsVar()) out->insert(t.id);
+/// Adds `t` to `out` and gives it a slot when it is a variable.
+void TermVars(const sparql::Term& t, std::set<SymbolId>* out,
+              SlotTable* slots) {
+  if (!t.ActsAsVar()) return;
+  out->insert(t.id);
+  slots->Add(t.id);
 }
 
 }  // namespace
@@ -79,7 +83,7 @@ std::string Plan::ToJson() const {
 /// `definite` vars are bound in every row, `possible` in some row
 /// (definite == possible except below OPTIONAL). Hash joins require
 /// the join vars to be definite on both sides; otherwise the planner
-/// emits a Compatible()-based nested-loop join.
+/// emits a row-compatibility nested-loop join.
 struct Executor::Built {
   OperatorPtr op;
   std::set<SymbolId> definite;
@@ -155,13 +159,14 @@ Executor::Built Executor::MakeJoin(Built left, Built right) const {
   return out;
 }
 
-Result<Executor::Built> Executor::BuildAnd(const sparql::Pattern& p) const {
+Result<Executor::Built> Executor::BuildAnd(const sparql::Pattern& p,
+                                           const SlotsPtr& slots) const {
   std::vector<const sparql::Pattern*> conjuncts;
   FlattenConjuncts(p, &conjuncts);
   if (conjuncts.empty()) {
     // Empty AND: the evaluator's join identity, one empty binding.
     return MakeLeaf(std::make_unique<YannakakisOp>(
-                        store_, *dict_,
+                        store_, *dict_, slots,
                         std::vector<sparql::TriplePattern>{},
                         hypergraph::BuildJoinForest({})),
                     {}, 1);
@@ -185,7 +190,7 @@ Result<Executor::Built> Executor::BuildAnd(const sparql::Pattern& p) const {
       std::vector<uint32_t> edge;
       for (const sparql::Term* term : {&t.s, &t.p, &t.o}) {
         if (!term->ActsAsVar()) continue;
-        vars.insert(term->id);
+        TermVars(*term, &vars, slots.get());
         const uint32_t next = static_cast<uint32_t>(vertex_of.size());
         edge.push_back(vertex_of.emplace(term->id, next).first->second);
       }
@@ -199,7 +204,8 @@ Result<Executor::Built> Executor::BuildAnd(const sparql::Pattern& p) const {
     hypergraph::JoinForest forest = hypergraph::BuildJoinForest(h);
     if (forest.ok) {
       return MakeLeaf(
-          std::make_unique<YannakakisOp>(store_, *dict_, std::move(triples),
+          std::make_unique<YannakakisOp>(store_, *dict_, slots,
+                                         std::move(triples),
                                          std::move(forest)),
           std::move(vars), estimate);
     }
@@ -209,7 +215,7 @@ Result<Executor::Built> Executor::BuildAnd(const sparql::Pattern& p) const {
   std::vector<Built> built;
   built.reserve(conjuncts.size());
   for (const sparql::Pattern* c : conjuncts) {
-    RWDT_ASSIGN_OR_RETURN(Built b, BuildPattern(*c));
+    RWDT_ASSIGN_OR_RETURN(Built b, BuildPattern(*c, slots));
     built.push_back(std::move(b));
   }
 
@@ -250,47 +256,48 @@ Result<Executor::Built> Executor::BuildAnd(const sparql::Pattern& p) const {
 }
 
 Result<Executor::Built> Executor::BuildPattern(
-    const sparql::Pattern& p) const {
+    const sparql::Pattern& p, const SlotsPtr& slots) const {
   using Op = sparql::Pattern::Op;
   switch (p.op) {
     case Op::kTriple: {
       std::set<SymbolId> vars;
-      TermVars(p.triple.s, &vars);
-      TermVars(p.triple.p, &vars);
-      TermVars(p.triple.o, &vars);
+      TermVars(p.triple.s, &vars, slots.get());
+      TermVars(p.triple.p, &vars, slots.get());
+      TermVars(p.triple.o, &vars, slots.get());
       const auto& t = p.triple;
       const uint64_t estimate =
           store_.CountMatch(t.s.ActsAsVar() ? kInvalidSymbol : t.s.id,
                             t.p.ActsAsVar() ? kInvalidSymbol : t.p.id,
                             t.o.ActsAsVar() ? kInvalidSymbol : t.o.id);
       return MakeLeaf(
-          std::make_unique<TripleScanOp>(store_, *dict_, p.triple),
+          std::make_unique<TripleScanOp>(store_, *dict_, slots, p.triple),
           std::move(vars), estimate);
     }
     case Op::kPath: {
       std::set<SymbolId> vars;
-      TermVars(p.path.s, &vars);
-      TermVars(p.path.o, &vars);
+      TermVars(p.path.s, &vars, slots.get());
+      TermVars(p.path.o, &vars, slots.get());
       OperatorPtr op;
       if (paths::IsSimpleTransitiveExpression(*p.path.path)) {
         op = std::make_unique<AutomatonPathScanOp>(store_, eval_, *dict_,
-                                                   p.path);
+                                                   slots, p.path);
       } else {
-        op = std::make_unique<PathScanOp>(eval_, *dict_, p.path);
+        op = std::make_unique<PathScanOp>(eval_, *dict_, slots, p.path);
       }
       return MakeLeaf(std::move(op), std::move(vars), store_.size());
     }
     case Op::kAnd:
-      return BuildAnd(p);
+      return BuildAnd(p, slots);
     case Op::kFilter: {
-      RWDT_ASSIGN_OR_RETURN(Built child, BuildPattern(*p.children[0]));
+      RWDT_ASSIGN_OR_RETURN(Built child, BuildPattern(*p.children[0], slots));
       child.op = std::make_unique<FilterOp>(std::move(child.op), p.filter,
                                             eval_);
       return child;
     }
     case Op::kOptional: {
-      RWDT_ASSIGN_OR_RETURN(Built left, BuildPattern(*p.children[0]));
-      RWDT_ASSIGN_OR_RETURN(Built right, BuildPattern(*p.children[1]));
+      RWDT_ASSIGN_OR_RETURN(Built left, BuildPattern(*p.children[0], slots));
+      RWDT_ASSIGN_OR_RETURN(Built right,
+                            BuildPattern(*p.children[1], slots));
       std::vector<SymbolId> join_vars;
       std::set_intersection(left.possible.begin(), left.possible.end(),
                             right.possible.begin(), right.possible.end(),
@@ -307,8 +314,9 @@ Result<Executor::Built> Executor::BuildPattern(
                      std::inserter(out.possible, out.possible.end()));
       out.estimate = left.estimate;
       if (hashable) {
-        out.op = std::make_unique<HashLeftJoinOp>(
-            std::move(left.op), std::move(right.op), join_vars, *dict_);
+        out.op = std::make_unique<HashJoinOp>(
+            std::move(left.op), std::move(right.op), join_vars, *dict_,
+            /*left_outer=*/true);
       } else {
         out.op = std::make_unique<NestedLoopJoinOp>(
             std::move(left.op), std::move(right.op), /*left_outer=*/true);
@@ -366,7 +374,10 @@ Result<Plan> Executor::MakePlan(const sparql::Query& q,
                     verdict.FragmentName() + ")");
   }
 
-  Result<Built> built = BuildPattern(*q.pattern);
+  // One slot table per plan: the leaves assign the slots as they are
+  // built, so it is complete before Execute opens the tree.
+  Result<Built> built =
+      BuildPattern(*q.pattern, std::make_shared<SlotTable>());
   if (!built.ok()) {
     return fallback("planner fallback: " + built.status().message());
   }
@@ -384,6 +395,8 @@ Result<std::vector<Binding>> Executor::Execute(Plan& plan) const {
       return eval_.EvalQuery(plan.query);
     }
     eval_.ResetSteps();  // per-query budget for EvalFilter / modifiers
+    // The operators pass slot rows; Drain turns them into Bindings once,
+    // here, for the evaluator's modifiers.
     RWDT_ASSIGN_OR_RETURN(std::vector<Binding> pattern_rows,
                           plan.root->Drain());
     return eval_.ApplyModifiers(plan.query, std::move(pattern_rows));

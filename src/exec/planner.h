@@ -2,6 +2,8 @@
 #define RWDT_EXEC_PLANNER_H_
 
 #include <cstdint>
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -94,8 +96,12 @@ class Executor {
  private:
   struct Built;
 
-  Result<Built> BuildPattern(const sparql::Pattern& p) const;
-  Result<Built> BuildAnd(const sparql::Pattern& p) const;
+  using SlotsPtr = std::shared_ptr<SlotTable>;
+
+  Result<Built> BuildPattern(const sparql::Pattern& p,
+                             const SlotsPtr& slots) const;
+  Result<Built> BuildAnd(const sparql::Pattern& p,
+                         const SlotsPtr& slots) const;
   Built MakeJoin(Built left, Built right) const;
   Built MakeLeaf(OperatorPtr op, std::set<SymbolId> vars,
                  uint64_t estimate) const;

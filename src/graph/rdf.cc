@@ -176,6 +176,22 @@ bool TripleStore::Contains(SymbolId s, SymbolId p, SymbolId o) const {
   return std::binary_search(spo_.begin(), spo_.end(), Triple{s, p, o});
 }
 
+std::vector<SymbolId> TripleStore::Terms() const {
+  EnsureSorted();
+  std::vector<SymbolId> out;
+  auto s = spo_.begin(), o = osp_.begin();
+  while (s != spo_.end() || o != osp_.end()) {
+    const SymbolId next =
+        s == spo_.end()   ? o->o
+        : o == osp_.end() ? s->s
+                          : std::min(s->s, o->o);
+    out.push_back(next);
+    while (s != spo_.end() && s->s == next) ++s;
+    while (o != osp_.end() && o->o == next) ++o;
+  }
+  return out;
+}
+
 std::set<SymbolId> TripleStore::SubjectSet() const {
   std::set<SymbolId> out;
   for (const Triple& t : EnsureSorted()) out.insert(t.s);

@@ -72,6 +72,12 @@ class TripleStore {
 
   const std::vector<Triple>& triples() const { return EnsureSorted(); }
 
+  /// The sorted distinct terms in subject or object position: one
+  /// linear merge of the subject runs of SPO with the object runs of
+  /// OSP, computed on each call (the node set that property-path
+  /// zero-length matches and unbound path sweeps range over).
+  std::vector<SymbolId> Terms() const;
+
   std::set<SymbolId> SubjectSet() const;
   std::set<SymbolId> PredicateSet() const;
   std::set<SymbolId> ObjectSet() const;

@@ -114,11 +114,6 @@ bool IsFreeConnexAcyclic(const Hypergraph& h,
   return IsAcyclic(extended);
 }
 
-bool IsFreeConnexAcyclic(const Hypergraph& h,
-                         const std::vector<uint32_t>& free_vertices) {
-  return IsFreeConnexAcyclic(h, free_vertices, IsAcyclic(h));
-}
-
 namespace {
 
 using VertexSet = std::vector<uint32_t>;  // sorted

@@ -60,8 +60,6 @@ bool IsAcyclic(const Hypergraph& h);
 bool IsFreeConnexAcyclic(const Hypergraph& h,
                          const std::vector<uint32_t>& free_vertices,
                          bool acyclic);
-bool IsFreeConnexAcyclic(const Hypergraph& h,
-                         const std::vector<uint32_t>& free_vertices);
 
 /// Decides (generalized) hypertree width <= k by recursive separator
 /// search with memoization — the library's stand-in for det-k-decomp.

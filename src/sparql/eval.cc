@@ -60,15 +60,6 @@ bool NumericValue(std::string_view name, double* out) {
 
 }  // namespace
 
-std::vector<SymbolId> Evaluator::AllTerms() const {
-  std::set<SymbolId> terms;
-  for (const auto& t : store_.triples()) {
-    terms.insert(t.s);
-    terms.insert(t.o);
-  }
-  return {terms.begin(), terms.end()};
-}
-
 Result<std::vector<Binding>> Evaluator::EvalTriple(
     const TriplePattern& t) const {
   const SymbolId s = t.s.ActsAsVar() ? kInvalidSymbol : t.s.id;
@@ -168,7 +159,7 @@ std::vector<std::pair<SymbolId, SymbolId>> Evaluator::EvalPathPairs(
       } else if (o != kInvalidSymbol) {
         out.emplace(o, o);
       } else {
-        for (SymbolId t : AllTerms()) out.emplace(t, t);
+        for (SymbolId t : store_.Terms()) out.emplace(t, t);
       }
       return {out.begin(), out.end()};
     }
@@ -181,9 +172,9 @@ std::vector<std::pair<SymbolId, SymbolId>> Evaluator::EvalPathPairs(
       } else if (o != kInvalidSymbol && path.op() == PathOp::kPlus) {
         // Evaluate the reversed problem from o and flip.
         // (Simpler: fall through to all-starts when both unbound.)
-        starts = AllTerms();
+        starts = store_.Terms();
       } else {
-        starts = AllTerms();
+        starts = store_.Terms();
       }
       std::set<std::pair<SymbolId, SymbolId>> out;
       for (SymbolId start : starts) {

@@ -92,7 +92,6 @@ class Evaluator {
                                         const std::vector<Binding>& b) const;
   Result<std::vector<Binding>> MinusOp(const std::vector<Binding>& a,
                                        const std::vector<Binding>& b) const;
-  std::vector<SymbolId> AllTerms() const;
 
   /// Charges `n` steps against the budget; kResourceExhausted on overrun.
   Status Charge(uint64_t n) const;

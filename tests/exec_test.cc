@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -111,6 +112,16 @@ TEST_F(ExecTest, AcyclicCqRunsYannakakis) {
   ExpectStrategyAndAgreement(
       "SELECT * WHERE { ?x p0 ?y . ent:0 no_such_predicate ent:1 }",
       Strategy::kYannakakis);
+  // No variable at all: the plan's rows have width 0, and a present
+  // triple still yields one (empty) solution.
+  const std::string ground = "SELECT * WHERE { " +
+                             std::string(dict_.Name(t.s)) + " " +
+                             std::string(dict_.Name(t.p)) + " " +
+                             std::string(dict_.Name(t.o)) + " }";
+  ExpectStrategyAndAgreement(ground, Strategy::kYannakakis);
+  auto one = Executor(store_, &dict_).Run(Parse(ground));
+  ASSERT_TRUE(one.ok());
+  EXPECT_EQ(one.value().size(), 1u) << ground;
 }
 
 TEST_F(ExecTest, DisjointConjunctionIsAcyclic) {
@@ -237,6 +248,7 @@ TEST_F(ExecTest, ResourceLimitsSurfaceAsErrors) {
 TEST_F(ExecTest, PathNfaMatchesEvalPathPairs) {
   sparql::Evaluator eval(store_, &dict_);
   const std::vector<SymbolId> terms = AllTerms();
+  EXPECT_EQ(store_.Terms(), terms);
   // One subject and one object that certainly occur in the store.
   const SymbolId some_s = store_.triples().front().s;
   const SymbolId some_o = store_.triples().front().o;
@@ -292,11 +304,17 @@ TEST_F(ExecTest, DrainIsRepeatable) {
   EXPECT_EQ(Sorted(once.value()), Sorted(twice.value()));
 }
 
-TEST_F(ExecTest, MergeBindingsPrefersAgreedValues) {
-  Binding a{{1, 10}, {2, 20}};
-  Binding b{{2, 20}, {3, 30}};
-  const Binding m = MergeBindings(a, b);
-  EXPECT_EQ(m, (Binding{{1, 10}, {2, 20}, {3, 30}}));
+TEST_F(ExecTest, MergeRowsPrefersAgreedValues) {
+  // Slots 0..2 hold variables 1..3; the rows bind {1, 2} and {2, 3}.
+  SlotTable slots;
+  for (SymbolId v : {1, 2, 3}) slots.Add(v);
+  SymbolId a[] = {10, 20, kInvalidSymbol};
+  const SymbolId b[] = {kInvalidSymbol, 20, 30};
+  ASSERT_TRUE(CompatibleRows(a, b, 3));
+  MergeRowInto(a, b, 3);
+  EXPECT_EQ(slots.ToBinding(a), (Binding{{1, 10}, {2, 20}, {3, 30}}));
+  const SymbolId c[] = {kInvalidSymbol, 21, kInvalidSymbol};
+  EXPECT_FALSE(CompatibleRows(a, c, 3));
 }
 
 TEST_F(ExecTest, NestedOptionalStaysExact) {
@@ -318,6 +336,177 @@ TEST_F(ExecTest, OptionalWithPathLeaf) {
   auto want = eval.EvalQuery(q);
   ASSERT_TRUE(want.ok());
   EXPECT_EQ(Sorted(got.value()), Sorted(want.value()));
+}
+
+// --- Slot rows -------------------------------------------------------
+
+/// Builds operators straight from a pattern tree, every join a
+/// nested-loop join, and UNION and MINUS included (the planner leaves
+/// both to the evaluator), so each operator's slot handling is checked
+/// on its own.
+OperatorPtr DirectOperators(const sparql::Pattern& p,
+                            const std::shared_ptr<SlotTable>& slots,
+                            const graph::TripleStore& store,
+                            const Interner& dict,
+                            const sparql::Evaluator& eval) {
+  using Op = sparql::Pattern::Op;
+  auto child = [&](size_t i) {
+    return DirectOperators(*p.children[i], slots, store, dict, eval);
+  };
+  switch (p.op) {
+    case Op::kTriple:
+      for (const sparql::Term* t : {&p.triple.s, &p.triple.p, &p.triple.o}) {
+        if (t->ActsAsVar()) slots->Add(t->id);
+      }
+      return std::make_unique<TripleScanOp>(store, dict, slots, p.triple);
+    case Op::kAnd: {
+      OperatorPtr acc = child(0);
+      for (size_t i = 1; i < p.children.size(); ++i) {
+        acc = std::make_unique<NestedLoopJoinOp>(std::move(acc), child(i));
+      }
+      return acc;
+    }
+    case Op::kOptional:
+      return std::make_unique<NestedLoopJoinOp>(child(0), child(1),
+                                                /*left_outer=*/true);
+    case Op::kMinus:
+      return std::make_unique<MinusOp>(child(0), child(1));
+    case Op::kFilter:
+      return std::make_unique<FilterOp>(child(0), p.filter, eval);
+    case Op::kUnion: {
+      std::vector<OperatorPtr> children;
+      for (size_t i = 0; i < p.children.size(); ++i) {
+        children.push_back(child(i));
+      }
+      return std::make_unique<UnionOp>(slots, std::move(children));
+    }
+    default:
+      ADD_FAILURE() << "no direct operator for this pattern";
+      return nullptr;
+  }
+}
+
+TEST_F(ExecTest, SlotRowCornersMatchTheEvaluator) {
+  // Self-loops so that `?x p ?x` scans are not vacuous.
+  for (const char* e : {"ent:1", "ent:2", "ent:3"}) {
+    store_.Add(dict_.Intern(e), dict_.Intern("p0"), dict_.Intern(e));
+  }
+  sparql::Evaluator eval(store_, &dict_);
+  for (const std::string text : {
+           // OPTIONAL leaves ?z unbound; the join on ?z must treat it
+           // as compatible with every right row.
+           "SELECT * WHERE { ?x p0 ?y OPTIONAL { ?y p1 ?z } . ?z p2 ?w }",
+           // A repeated variable binds one slot twice.
+           "SELECT * WHERE { ?x p0 ?x . ?x p1 ?y }",
+           // bound() sees an unbound slot as an absent variable.
+           "SELECT * WHERE { ?x p0 ?y OPTIONAL { ?y p1 ?z } "
+           "FILTER (!bound(?z)) }",
+           // MINUS removes a row only on a shared bound slot: rows with
+           // ?z unbound survive every right row.
+           "SELECT * WHERE { ?x p0 ?y OPTIONAL { ?y p1 ?z } "
+           "MINUS { ?z p2 ?w } }",
+           // Two shared slots: a right row removes a left row only
+           // when both agree.
+           "SELECT * WHERE { ?x p0 ?y MINUS { ?x p1 ?y } }",
+           // Right rows of MINUS with unbound slots: the branch over
+           // ?v ?u shares no variable and never removes anything.
+           "SELECT * WHERE { ?x p0 ?y MINUS { { ?y p1 ?z } UNION "
+           "{ ?v p2 ?u } } }",
+           // UNION branches bind different slot sets.
+           "SELECT * WHERE { { ?x p0 ?y } UNION { ?y p1 ?z } }",
+       }) {
+    const sparql::Query q = Parse(text);
+    auto slots = std::make_shared<SlotTable>();
+    OperatorPtr op = DirectOperators(*q.pattern, slots, store_, dict_, eval);
+    ASSERT_NE(op, nullptr) << text;
+    auto got = op->Drain();
+    ASSERT_TRUE(got.ok()) << text;
+    auto want = eval.EvalPattern(*q.pattern);
+    ASSERT_TRUE(want.ok()) << text;
+    EXPECT_FALSE(want.value().empty()) << text;
+    EXPECT_EQ(Sorted(got.value()), Sorted(want.value())) << text;
+  }
+}
+
+TEST_F(ExecTest, PlannedRepeatedVariablesMatchTheEvaluator) {
+  for (const char* e : {"ent:1", "ent:2", "ent:3"}) {
+    store_.Add(dict_.Intern(e), dict_.Intern("p0"), dict_.Intern(e));
+  }
+  // Repeated variables inside Yannakakis and in a cyclic plan's scan.
+  ExpectStrategyAndAgreement("SELECT * WHERE { ?x p0 ?x . ?x p1 ?y }",
+                             Strategy::kYannakakis);
+  ExpectStrategyAndAgreement(
+      "SELECT * WHERE { ?x p0 ?y . ?y p1 ?z . ?z p2 ?x . ?x p0 ?x }",
+      Strategy::kHtwJoinOrder);
+  // Partially bound rows never reach a planned join: well-designed
+  // OPTIONAL keeps every join variable definite, and the other shapes
+  // fall back (SlotRowCornersMatchTheEvaluator drives those operators
+  // directly).
+  ExpectStrategyAndAgreement(
+      "SELECT * WHERE { ?x p0 ?y OPTIONAL { ?y p1 ?z } "
+      "FILTER (!bound(?z)) }",
+      Strategy::kFallback);
+}
+
+// --- Explain goldens ---------------------------------------------------
+
+/// The exec_fragments benchmark store at its tiny size, seed 1: random
+/// p0..p2 layers of 300 edges over 240 nodes plus p3 chains of 12.
+graph::TripleStore FragmentStore(Interner* dict) {
+  graph::TripleStore store;
+  Rng rng(1);
+  constexpr uint64_t kNodes = 240, kEdges = 300;
+  auto node = [&](uint64_t i) {
+    return dict->Intern("n" + std::to_string(i));
+  };
+  for (const char* pred : {"p0", "p1", "p2"}) {
+    const SymbolId p = dict->Intern(pred);
+    for (uint64_t i = 0; i < kEdges; ++i) {
+      const SymbolId s = node(rng.NextBelow(kNodes));
+      store.Add(s, p, node(rng.NextBelow(kNodes)));
+    }
+  }
+  const SymbolId p3 = dict->Intern("p3");
+  for (uint64_t i = 0; i + 1 < kNodes; ++i) {
+    if ((i + 1) % 12 == 0) continue;  // chains of 12
+    store.Add(node(i), p3, node(i + 1));
+  }
+  return store;
+}
+
+TEST(ExecExplainTest, FragmentPlansMatchGoldens) {
+  // Plan::ToJson is the explain output and the serve slow-log's
+  // plan_json; the row representation must not leak into it.
+  const struct {
+    const char* query;
+    const char* json;
+  } kGoldens[] = {
+      {"SELECT * WHERE { ?a p0 ?b . ?b p1 ?c . ?c p2 ?d }",
+       R"({"strategy":"yannakakis","fragment":"cq","form":"select","htw_le":1,"well_designed":true,"reason":"acyclic conjunctive query: Yannakakis semijoin program","plan":{"op":"yannakakis","relations":["?a p0 ?b","?b p1 ?c","?c p2 ?d"]}})"},
+      {"SELECT * WHERE { ?x p0 ?y . ?y p1 ?z . ?z p2 ?x }",
+       R"({"strategy":"htw_join_order","fragment":"cq","form":"select","htw_le":2,"well_designed":true,"reason":"CQ+F with certified htw <= 2: decomposition-guided join order","plan":{"op":"hash_join","join_vars":["?x","?z"],"left":{"op":"hash_join","join_vars":["?y"],"left":{"op":"triple_scan","pattern":"?x p0 ?y"},"right":{"op":"triple_scan","pattern":"?y p1 ?z"}},"right":{"op":"triple_scan","pattern":"?z p2 ?x"}}})"},
+      {"SELECT * WHERE { ?x p3* ?y . ?y p1 ?z }",
+       R"({"strategy":"nfa_path_product","fragment":"c2rpq_f","form":"select","htw_le":0,"well_designed":true,"paths":1,"paths_ste":1,"reason":"C2RPQ+F with simple transitive paths: NFA-product reachability","plan":{"op":"hash_join","join_vars":["?y"],"left":{"op":"path_nfa_scan","pattern":"?x (p3)* ?y","nfa_states":4},"right":{"op":"triple_scan","pattern":"?y p1 ?z"}}})"},
+      {"SELECT * WHERE { ?x p0/p3* ?y }",
+       R"({"strategy":"nfa_path_product","fragment":"c2rpq_f","form":"select","htw_le":0,"well_designed":true,"paths":1,"paths_ste":1,"reason":"C2RPQ+F with simple transitive paths: NFA-product reachability","plan":{"op":"path_nfa_scan","pattern":"?x p0/(p3)* ?y","nfa_states":8}})"},
+      {"SELECT * WHERE { ?x p0 ?y OPTIONAL { ?y p1 ?z } }",
+       R"({"strategy":"pattern_tree","fragment":"other","form":"select","htw_le":0,"well_designed":true,"reason":"well-designed OPTIONAL: pattern-tree evaluation","plan":{"op":"hash_left_join","join_vars":["?y"],"left":{"op":"triple_scan","pattern":"?x p0 ?y"},"right":{"op":"triple_scan","pattern":"?y p1 ?z"}}})"},
+  };
+  Interner dict;
+  const graph::TripleStore store = FragmentStore(&dict);
+  Executor exec(store, &dict);
+  sparql::Evaluator eval(store, &dict);
+  for (const auto& g : kGoldens) {
+    auto q = sparql::ParseSparql(g.query, &dict);
+    ASSERT_TRUE(q.ok()) << g.query;
+    auto plan = exec.MakePlan(q.value());
+    ASSERT_TRUE(plan.ok()) << g.query;
+    EXPECT_EQ(plan.value().ToJson(), g.json) << g.query;
+    auto got = exec.Execute(plan.value());
+    auto want = eval.EvalQuery(q.value());
+    ASSERT_TRUE(got.ok() && want.ok()) << g.query;
+    EXPECT_EQ(Sorted(got.value()), Sorted(want.value())) << g.query;
+  }
 }
 
 }  // namespace

@@ -156,13 +156,13 @@ TEST_P(HgPropertyTest, FreeConnexImpliesAcyclic) {
     for (uint32_t v = 0; v < h.num_vertices; ++v) {
       if (rng.NextBool(0.4)) free.push_back(v);
     }
-    if (IsFreeConnexAcyclic(h, free)) {
+    if (IsFreeConnexAcyclic(h, free, IsAcyclic(h))) {
       EXPECT_TRUE(IsAcyclic(h));
     }
     // All variables free: free-connex iff acyclic.
     std::vector<uint32_t> all;
     for (uint32_t v = 0; v < h.num_vertices; ++v) all.push_back(v);
-    EXPECT_EQ(IsFreeConnexAcyclic(h, all), IsAcyclic(h));
+    EXPECT_EQ(IsFreeConnexAcyclic(h, all, IsAcyclic(h)), IsAcyclic(h));
   }
 }
 

@@ -56,11 +56,12 @@ TEST(FreeConnexTest, ProjectionMatters) {
   // Path x-y-z: acyclic. Free vars {x, z} (endpoints) break free-connex
   // acyclicity; free vars {x, y} keep it.
   Hypergraph path = H({{0, 1}, {1, 2}});
-  EXPECT_TRUE(IsFreeConnexAcyclic(path, {0, 1}));
-  EXPECT_TRUE(IsFreeConnexAcyclic(path, {0, 1, 2}));
-  EXPECT_FALSE(IsFreeConnexAcyclic(path, {0, 2}));
+  EXPECT_TRUE(IsFreeConnexAcyclic(path, {0, 1}, IsAcyclic(path)));
+  EXPECT_TRUE(IsFreeConnexAcyclic(path, {0, 1, 2}, IsAcyclic(path)));
+  EXPECT_FALSE(IsFreeConnexAcyclic(path, {0, 2}, IsAcyclic(path)));
   // Cyclic queries are never free-connex acyclic.
-  EXPECT_FALSE(IsFreeConnexAcyclic(H({{0, 1}, {1, 2}, {0, 2}}), {0}));
+  const Hypergraph triangle = H({{0, 1}, {1, 2}, {0, 2}});
+  EXPECT_FALSE(IsFreeConnexAcyclic(triangle, {0}, IsAcyclic(triangle)));
 }
 
 TEST(HtwTest, MatchesAcyclicityAtOne) {

@@ -437,6 +437,30 @@ TEST(IngestReaderDifferentialTest, Utf8AndCrSplitAcrossBlockEdges) {
   }
 }
 
+TEST(IngestReaderDifferentialTest, CrlfSplitAcrossBlockEdgeIsStripped) {
+  // Two lines that differ only in a CRLF versus a bare LF ending: once
+  // the '\r' is stripped they are one query. Blocks of 1..8 bytes carry
+  // both records across block edges, and a block of |query| + 1 bytes
+  // ends exactly between the '\r' and the '\n' of the first line.
+  const std::string query = "SELECT ?x WHERE { ?x a ?y }";
+  const std::string text = query + "\r\n" + query + "\n";
+
+  IngestOptions opts;
+  opts.engine.threads = 1;
+  const IngestReport expected = NaiveIngest(text, opts);
+  EXPECT_EQ(expected.study.valid, 2u);
+  EXPECT_EQ(expected.study.unique, 1u);
+
+  std::vector<size_t> sizes = {1, 2, 3, 4, 5, 6, 7, 8, query.size() + 1};
+  for (const size_t block_bytes : sizes) {
+    opts.block_bytes = block_bytes;
+    const IngestReport block = MustIngest(text, opts);
+    const std::string where = "block_bytes=" + std::to_string(block_bytes);
+    ExpectSameObservables(expected, block, where);
+    EXPECT_EQ(block.study.unique, 1u) << where;
+  }
+}
+
 TEST(IngestReaderDifferentialTest, EmbeddedNulsPassThroughIdentically) {
   std::string text = "ASK { ?s ?p ?o }\n";
   text += std::string("bad\0query", 9) + "\n";
